@@ -157,7 +157,7 @@ fn check_block_dims(
 
 /// Raw blocked distance kernel: the full `queries × candidates`
 /// Hamming-distance matrix, row-major by query, with queries tiled in
-/// groups of [`QUERY_TILE`] so a tile's words stay cache-resident
+/// groups of 8 (`QUERY_TILE`) so a tile's words stay cache-resident
 /// while each candidate streams through once per tile.
 ///
 /// This is the primitive under both [`hamming_top2_block`] and the

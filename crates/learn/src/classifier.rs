@@ -253,7 +253,7 @@ impl HdClassifier {
     ///
     /// When the classifier [`is_bipolar`](HdClassifier::is_bipolar),
     /// per-class cosines are reconstructed from the blocked SIMD
-    /// Hamming kernel via [`cosine_from_distance`] and fed through the
+    /// Hamming kernel via `cosine_from_distance` and fed through the
     /// same fused [`top2_scores`] logic as the scalar path — identical
     /// floats, identical tie-breaking. Otherwise this falls back to
     /// per-query [`HdClassifier::margin`] calls, still bit-identical.
@@ -330,7 +330,7 @@ impl HdClassifier {
     /// On the bipolar fast path one
     /// [`hamming_distances_block`] call produces the full
     /// query×class distance matrix; per-class cosines are
-    /// reconstructed exactly via [`cosine_from_distance`] and the
+    /// reconstructed exactly via `cosine_from_distance` and the
     /// winner comes from the same last-wins [`top2_scores`] scan the
     /// scalar [`predict`](HdClassifier::predict) uses, so every
     /// `(class, scores)` pair is bit-identical to a per-query

@@ -236,7 +236,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Inclusive length bounds for [`vec`].
+    /// Inclusive length bounds for [`vec()`].
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         lo: usize,

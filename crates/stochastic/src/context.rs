@@ -1,11 +1,13 @@
 //! The stochastic arithmetic context: basis vector, encoding, and the
 //! elementary operations of HDFace §4.2.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::OnceLock;
 
 use hdface_hdc::{BitVector, HdcRng, SeedableRng};
 
-use crate::binomial::binomial;
+use crate::binomial::{binomial, Binomial};
 use crate::error::StochasticError;
 
 /// A **s**tochastic **h**yper**v**ector: a bipolar hypervector that
@@ -131,6 +133,26 @@ fn encode_density(v: f64) -> f64 {
     BitVector::realized_density((1.0 + v) / 2.0)
 }
 
+/// Contexts below this dimensionality tabulate their [`CountLaws`]: the
+/// `ln k!` table's range, which holds the paper's dimensionalities. The
+/// tables take 336 bytes per dimension (1.4 MB at `D = 4096`); past
+/// the bound every law is built per draw instead, so a model header's
+/// `u32` D cannot make a scan allocate gigabytes.
+const TABULATED_DIMS: usize = 1 << 14;
+
+/// The binomial laws the count root and the sign law draw, indexed by
+/// the one count each depends on, so a draw skips the set-up of its law
+/// (`StochasticContext::count_laws`).
+struct CountLaws {
+    /// `Bin(D, ¼)`: the root's first midpoint.
+    quarter: Binomial,
+    /// For each `h ≤ D`, the squared probe's law at distance `h` from
+    /// `V₁`: `Bin(D − h, ρ(h))` and `Bin(h, 1 − ρ(h))`.
+    probes: Box<[(Binomial, Binomial)]>,
+    /// `Bin(n, ½)` for each `n ≤ D`.
+    fair: Box<[Binomial]>,
+}
+
 /// Outcome of a statistical comparison between two stochastic values.
 ///
 /// Decoded values carry sampling noise of magnitude `≈ 1/√D`, so a
@@ -163,7 +185,8 @@ pub struct SquareSumDecode {
 }
 
 /// The arithmetic context of §4: dimensionality `D`, the random basis
-/// `V₁`, and the RNG that draws selection masks.
+/// `V₁`, the RNG that draws selection masks, and, built on first use,
+/// the binomial laws of the count root and the sign law.
 ///
 /// All values produced by one context share its basis; mixing vectors
 /// from different contexts is not detected (they are just bits) and
@@ -184,6 +207,8 @@ pub struct StochasticContext {
     /// `basis` negated (`V₋₁`), kept so encoding never re-derives it.
     neg_basis: Shv,
     rng: HdcRng,
+    /// Built on first use; see [`CountLaws`].
+    count_laws: OnceLock<CountLaws>,
 }
 
 impl StochasticContext {
@@ -224,6 +249,7 @@ impl StochasticContext {
             neg_basis: basis.negated(),
             basis,
             rng,
+            count_laws: OnceLock::new(),
         })
     }
 
@@ -591,9 +617,53 @@ impl StochasticContext {
     /// density, so only the noise bits differ from the vector path,
     /// never the law.
     pub(crate) fn decode_square_at(&self, h: usize, rng: &mut HdcRng) -> f64 {
-        let p = self.instance_density(h);
-        let agree = binomial(self.dim - h, p, rng) + binomial(h, 1.0 - p, rng);
+        let (kept, flipped) = &*self.probe_laws(h);
+        let agree = kept.draw(rng) + flipped.draw(rng);
         self.value_at_distance(self.dim - agree)
+    }
+
+    /// The laws [`decode_square_at`](Self::decode_square_at) draws at
+    /// distance `h`: `Bin(D − h, p)` and `Bin(h, 1 − p)`, with `p` the
+    /// instance density.
+    fn probe_laws(&self, h: usize) -> Cow<'_, (Binomial, Binomial)> {
+        match self.count_laws() {
+            Some(laws) => Cow::Borrowed(&laws.probes[h]),
+            None => Cow::Owned(self.probe_pair(h)),
+        }
+    }
+
+    fn probe_pair(&self, h: usize) -> (Binomial, Binomial) {
+        let p = self.instance_density(h);
+        (Binomial::new(self.dim - h, p), Binomial::new(h, 1.0 - p))
+    }
+
+    /// `Bin(D, ¼)`.
+    pub(crate) fn quarter_law(&self) -> Cow<'_, Binomial> {
+        match self.count_laws() {
+            Some(laws) => Cow::Borrowed(&laws.quarter),
+            None => Cow::Owned(Binomial::new(self.dim, 0.25)),
+        }
+    }
+
+    /// `Bin(n, ½)` for `n ≤ D`.
+    pub(crate) fn fair_law(&self, n: usize) -> Cow<'_, Binomial> {
+        match self.count_laws() {
+            Some(laws) => Cow::Borrowed(&laws.fair[n]),
+            None => Cow::Owned(Binomial::new(n, 0.5)),
+        }
+    }
+
+    /// The context's [`CountLaws`], built on first use, or `None` past
+    /// [`TABULATED_DIMS`]. Each entry is the law a draw would build for
+    /// itself, so a tabulated draw is bit for bit the per-draw one.
+    fn count_laws(&self) -> Option<&CountLaws> {
+        (self.dim < TABULATED_DIMS).then(|| {
+            self.count_laws.get_or_init(|| CountLaws {
+                quarter: Binomial::new(self.dim, 0.25),
+                probes: (0..=self.dim).map(|h| self.probe_pair(h)).collect(),
+                fair: (0..=self.dim).map(|n| Binomial::new(n, 0.5)).collect(),
+            })
+        })
     }
 
     /// A draw of `decode(add_halved(square(a), square(b)))` from its
@@ -652,8 +722,7 @@ impl StochasticContext {
     /// exactly when that is at least `D/2`.
     ///
     /// The counts must be those of two vectors of the context's
-    /// dimensionality; any other triple is meaningless (and overflows
-    /// in debug builds).
+    /// dimensionality; any other triple is meaningless (and may panic).
     #[must_use]
     pub fn sub_halved_is_non_negative_at(
         &self,
@@ -663,7 +732,7 @@ impl StochasticContext {
         rng: &mut HdcRng,
     ) -> bool {
         let agree_for_sure = (hab + hb - ha) / 2;
-        2 * (agree_for_sure + binomial(self.dim - hab, 0.5, rng)) >= self.dim
+        2 * (agree_for_sure + self.fair_law(self.dim - hab).draw(rng)) >= self.dim
     }
 
     /// A draw of `h(v ⊕ e, V₁)` for a `v` at distance `h` from `V₁` and
@@ -1123,6 +1192,110 @@ mod tests {
         assert!(ctx
             .decode_halved_square_sum_with(&one, &foreign, &mut rng)
             .is_err());
+    }
+
+    /// The count root and the sign law as they drew before their laws
+    /// were tabulated: every draw builds its law through the reference
+    /// sampler.
+    mod per_draw {
+        use crate::binomial::reference::binomial;
+        use crate::StochasticContext;
+        use hdface_hdc::HdcRng;
+
+        pub fn decode_square_at(ctx: &StochasticContext, h: usize, rng: &mut HdcRng) -> f64 {
+            let p = ctx.instance_density(h);
+            let agree = binomial(ctx.dim - h, p, rng) + binomial(h, 1.0 - p, rng);
+            ctx.value_at_distance(ctx.dim - agree)
+        }
+
+        pub fn sqrt_distance(
+            ctx: &StochasticContext,
+            target: f64,
+            iters: usize,
+            rng: &mut HdcRng,
+        ) -> usize {
+            let dim = ctx.dim();
+            let mut h = binomial(dim, 0.25, rng);
+            if iters == 0 {
+                return h;
+            }
+            let (mut diff, mut dis) = if decode_square_at(ctx, h, rng) > target {
+                (binomial(dim - h, 1.0 / 3.0, rng), h)
+            } else {
+                (h, 0)
+            };
+            for _ in 1..iters {
+                let k = binomial(diff, 0.5, rng);
+                h = dis + diff - k;
+                if decode_square_at(ctx, h, rng) > target {
+                    (dis, diff) = (h, k);
+                } else {
+                    diff -= k;
+                }
+            }
+            dis + diff - binomial(diff, 0.5, rng)
+        }
+
+        pub fn sub_halved_is_non_negative_at(
+            ctx: &StochasticContext,
+            ha: usize,
+            hb: usize,
+            hab: usize,
+            rng: &mut HdcRng,
+        ) -> bool {
+            let agree_for_sure = (hab + hb - ha) / 2;
+            2 * (agree_for_sure + binomial(ctx.dim - hab, 0.5, rng)) >= ctx.dim
+        }
+    }
+
+    #[test]
+    fn tabulated_laws_draw_what_the_per_draw_chain_draws() {
+        for dim in [512, 4096, 8193, TABULATED_DIMS] {
+            let ctx = StochasticContext::new(dim, 70);
+            assert_eq!(ctx.count_laws().is_some(), dim < TABULATED_DIMS, "D={dim}");
+            let mut rng = HdcRng::seed_from_u64(71);
+            let mut chain = HdcRng::seed_from_u64(71);
+            for h in (0..=dim).step_by(7).chain([dim]) {
+                let got = ctx.decode_square_at(h, &mut rng);
+                let want = per_draw::decode_square_at(&ctx, h, &mut chain);
+                assert_eq!(got.to_bits(), want.to_bits(), "D={dim} probe at {h}");
+            }
+            for target in [-0.5, -ctx.sigma(), 0.0, 0.02, 0.26, 0.5, 0.9, 1.0] {
+                for iters in [0, 1, 6, 10] {
+                    for draw in 0..300 {
+                        assert_eq!(
+                            ctx.sqrt_distance_with(target, iters, &mut rng),
+                            per_draw::sqrt_distance(&ctx, target, iters, &mut chain),
+                            "D={dim} √{target} in {iters} steps, draw {draw}"
+                        );
+                    }
+                }
+            }
+            let mut vectors = HdcRng::seed_from_u64(72);
+            for (va, vb) in [
+                (0.01, 0.0),
+                (0.3, 0.28),
+                (-0.2, 0.25),
+                (0.9, -0.9),
+                (1.0, -1.0),
+            ] {
+                let a = ctx.encode_with(va, &mut vectors).unwrap();
+                let b = ctx.encode_with(vb, &mut vectors).unwrap();
+                let ha = a.as_bits().hamming(ctx.basis().as_bits()).unwrap();
+                let hb = b.as_bits().hamming(ctx.basis().as_bits()).unwrap();
+                let hab = a.as_bits().hamming(b.as_bits()).unwrap();
+                for (ha, hb) in [(ha, hb), (hb, ha)] {
+                    for draw in 0..300 {
+                        assert_eq!(
+                            ctx.sub_halved_is_non_negative_at(ha, hb, hab, &mut rng),
+                            per_draw::sub_halved_is_non_negative_at(&ctx, ha, hb, hab, &mut chain),
+                            "D={dim} ({va} − {vb})/2, draw {draw}"
+                        );
+                    }
+                }
+            }
+            assert_eq!(rng.next_u64(), chain.next_u64(), "D={dim}: stream");
+        }
     }
 
     #[test]

@@ -139,7 +139,7 @@ impl StochasticContext {
     #[must_use]
     pub fn sqrt_distance_with(&self, target: f64, iters: usize, rng: &mut HdcRng) -> usize {
         let dim = self.dim();
-        let mut h = binomial(dim, 0.25, rng);
+        let mut h = self.quarter_law().draw(rng);
         if iters == 0 {
             return h;
         }
@@ -152,7 +152,7 @@ impl StochasticContext {
             (h, 0)
         };
         for _ in 1..iters {
-            let k = binomial(diff, 0.5, rng);
+            let k = self.fair_law(diff).draw(rng);
             h = dis + diff - k;
             // Direction from the raw decoded comparison: an early
             // "approximately equal" exit is tempting but fragile near
@@ -164,7 +164,7 @@ impl StochasticContext {
                 diff -= k;
             }
         }
-        dis + diff - binomial(diff, 0.5, rng)
+        dis + diff - self.fair_law(diff).draw(rng)
     }
 
     /// **Division** `V_a, V_b ↦ V_{a/b}` via binary search on the

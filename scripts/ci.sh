@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # The tier-1 gate as one command: format check, release build, lint,
-# the test suite of every workspace crate (no allow-list: any failing
+# rustdoc with warnings as errors, the test suite of every workspace crate (no allow-list: any failing
 # test turns the gate red), the pinned feature checksums, a check that
 # every package is in-tree, explicit passes over the serving-layer and
 # online-learning integration tests, and a short soak — each under a
@@ -46,6 +46,10 @@ step fmt cargo fmt --all -- --check
 step build cargo build --release
 
 step clippy cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc with warnings as errors: a broken intra-doc link, or public
+# docs linking a private item, fails the gate.
+step docs env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 step suite cargo test -q --workspace --no-fail-fast
 

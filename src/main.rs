@@ -125,6 +125,19 @@ impl Args {
         Ok(n)
     }
 
+    /// [`count_at_most`](Self::count_at_most), refusing zero too.
+    fn positive_count_at_most(
+        &self,
+        key: &str,
+        default: usize,
+        max: usize,
+    ) -> Result<usize, String> {
+        match self.count_at_most(key, default, max)? {
+            0 => Err(format!("--{key} must be at least 1")),
+            n => Ok(n),
+        }
+    }
+
     fn require(&self, key: &str) -> Result<&str, String> {
         self.get(key).ok_or_else(|| format!("--{key} is required"))
     }
@@ -172,19 +185,25 @@ fn usage() -> String {
         .to_owned()
 }
 
-/// The scan engine every subcommand shares: `--threads N` wins over
-/// the `HDFACE_THREADS` environment variable, which wins over the
-/// detected hardware parallelism. Scans are bit-identical at any
-/// setting.
+/// The scan engine every subcommand shares: `--threads N` (1 to
+/// [`MAX_THREADS`]) wins over the `HDFACE_THREADS` environment
+/// variable, which wins over the detected hardware parallelism. Scans
+/// are bit-identical at any setting. Every `cmd_*` reads it first, so
+/// a refused count stops the command before any work starts.
 fn engine_from_args(args: &Args) -> Result<Engine, String> {
-    match args.get("threads") {
-        None => Ok(Engine::from_env()),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(Engine::new(n)),
-            _ => Err(format!("--threads: expected a positive integer, got {v:?}")),
-        },
+    if args.get("threads").is_none() {
+        return Ok(Engine::from_env());
     }
+    let threads = args.positive_count_at_most("threads", 1, MAX_THREADS)?;
+    Ok(Engine::new(threads))
 }
+
+/// The most OS threads one flag may start: `--threads` (every
+/// subcommand), `serve --workers` and `loadgen --connections` each
+/// start one thread per unit. Checked at the top of each `cmd_*`,
+/// before any thread starts, because `serve` aborts on a failed spawn
+/// and reaches one only after exhausting the host.
+const MAX_THREADS: usize = 1024;
 
 /// The largest `--dim` `hdface train` accepts: 2¹⁶, well past the
 /// paper's 10k sweep and inside the HDP1 header's `u32`. Checked
@@ -204,6 +223,7 @@ const MAX_SAMPLES: usize = 1 << 20;
 const MAX_REPLICAS: usize = 16;
 
 fn cmd_train(args: &Args) -> Result<(), String> {
+    let engine = engine_from_args(args)?;
     let out = args.require("out")?;
     let dim: usize = args.get_or("dim", 4096)?;
     if !(1..=MAX_TRAIN_DIM).contains(&dim) {
@@ -212,14 +232,13 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         ));
     }
     let seed: u64 = args.get_or("seed", 7)?;
-    let samples = args.count_at_most("samples", 160, MAX_SAMPLES)?;
+    let samples = args.positive_count_at_most("samples", 160, MAX_SAMPLES)?;
     let mode = match args.get("mode").unwrap_or("encoded") {
         "hyper" => HdFeatureMode::hyper_hog(dim),
         "encoded" => HdFeatureMode::encoded_classic(dim),
         other => return Err(format!("--mode must be hyper or encoded, got {other}")),
     };
 
-    let engine = engine_from_args(args)?;
     eprintln!("generating {samples} synthetic face/no-face windows (seed {seed})…");
     let data = face2_spec().at_size(32).scaled(samples).generate(seed);
     let mut pipeline = HdPipeline::new(mode, seed);
@@ -298,12 +317,12 @@ fn load_detector(
 }
 
 fn cmd_detect(args: &Args) -> Result<(), String> {
+    let engine = engine_from_args(args)?;
     let replicas = args.count_at_most("replicas", 1, MAX_REPLICAS)?;
     let image_path = args.require("image")?;
     let out = args.require("out")?;
     let threshold: f64 = args.get_or("threshold", 0.0)?;
     let stride: f64 = args.get_or("stride", 0.25)?;
-    let engine = engine_from_args(args)?;
 
     let reader = BufReader::new(File::open(image_path).map_err(|e| format!("{image_path}: {e}"))?);
     let scene = read_pgm(reader).map_err(|e| e.to_string())?;
@@ -347,7 +366,8 @@ fn cmd_detect(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_eval(args: &Args) -> Result<(), String> {
-    let samples = args.count_at_most("samples", 80, MAX_SAMPLES)?;
+    let engine = engine_from_args(args)?;
+    let samples = args.positive_count_at_most("samples", 80, MAX_SAMPLES)?;
     let path = args.require("model")?;
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     // The tolerant loader surfaces the golden trailer so eval can
@@ -379,7 +399,6 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
     }
     let mut pipeline = loaded.pipeline;
     let seed: u64 = args.get_or("seed", 9)?;
-    let engine = engine_from_args(args)?;
     let data = face2_spec().at_size(32).scaled(samples).generate(seed);
     let acc = pipeline
         .evaluate_with(&data, &engine)
@@ -393,8 +412,9 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
+    let engine = engine_from_args(args)?;
+    let workers = args.count_at_most("workers", 2, MAX_THREADS)?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:8080").to_owned();
-    let workers: usize = args.get_or("workers", 2)?;
     let queue_depth: usize = args.get_or("queue-depth", 64)?;
     let threshold: f64 = args.get_or("threshold", 0.0)?;
     let stride: f64 = args.get_or("stride", 0.25)?;
@@ -404,7 +424,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let max_requests_per_conn: usize =
         args.get_or("max-requests-per-conn", defaults.max_requests_per_conn)?;
     let idle_timeout_ms: u64 = args.get_or("idle-timeout-ms", defaults.idle_timeout_ms)?;
-    let engine = engine_from_args(args)?;
     let online = match args.get("registry-dir") {
         None => None,
         Some(dir) => {
@@ -497,11 +516,8 @@ fn clock_span(secs: f64) -> Option<Duration> {
 /// connections and print a JSON report. Every flag is checked before
 /// any client thread starts.
 fn cmd_loadgen(args: &Args) -> Result<(), String> {
+    let connections = args.positive_count_at_most("connections", 4, MAX_THREADS)?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:8080").to_owned();
-    let connections: usize = args.get_or("connections", 4)?;
-    if connections == 0 {
-        return Err("--connections must be at least 1".into());
-    }
     let duration_secs: f64 = args.get_or("duration-secs", 10.0)?;
     let duration = clock_span(duration_secs)
         .filter(|_| duration_secs > 0.0)
@@ -843,9 +859,11 @@ mod tests {
         assert!(!std::path::Path::new(out).exists(), "nothing is written");
     }
 
-    /// Runs `line`, which must be refused before it allocates for
-    /// `--flag`. Every count below is one the allocator would refuse
-    /// at once, so an unchecked flag aborts the test binary.
+    /// Runs `line`, which must be refused for `--flag` before it
+    /// allocates or starts a thread. Each caller's line fails fast
+    /// without the check too: its count is one the allocator refuses
+    /// at once (an unchecked flag aborts the test binary), or the line
+    /// fails a later check before any thread starts.
     fn refuses_count(line: &str, flag: &str) {
         let argv: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
         let err = run(&argv[0], &argv[1..]).expect_err(line);
@@ -885,6 +903,48 @@ mod tests {
             "serve --model m.hdp --addr 127.0.0.1:0 --registry-dir r --shadow-samples 100000000000",
             "shadow-samples",
         );
+    }
+
+    #[test]
+    fn thread_counts_past_the_cap_are_refused_before_any_thread_starts() {
+        // Each line also fails a later check (an unknown mode, a missing
+        // model, a negative duration), so a build without the cap errs
+        // there instead of starting 1025 threads.
+        for (line, flag) in [
+            ("train --out m.hdp --mode none --threads 1025", "threads"),
+            (
+                "detect --model missing.hdp --image s.pgm --out o.ppm --threads 1025",
+                "threads",
+            ),
+            ("eval --model missing.hdp --threads 1025", "threads"),
+            ("serve --model missing.hdp --threads 1025", "threads"),
+            ("serve --model missing.hdp --workers 1025", "workers"),
+            (
+                "loadgen --addr 127.0.0.1:1 --connections 1025 --duration-secs -1",
+                "connections",
+            ),
+        ] {
+            refuses_count(line, flag);
+        }
+        let args = parse_line("serve --threads 1024 --workers 1024").unwrap();
+        assert_eq!(args.count_at_most("threads", 1, MAX_THREADS), Ok(1024));
+        assert_eq!(args.count_at_most("workers", 2, MAX_THREADS), Ok(1024));
+    }
+
+    #[test]
+    fn zero_counts_are_refused_by_name() {
+        let out = std::env::temp_dir().join(format!("hdface-zero-{}.hdp", std::process::id()));
+        let out = out.to_str().expect("a UTF-8 temp path");
+        for (line, flag) in [
+            (format!("train --out {out} --samples 0"), "samples"),
+            ("eval --model missing.hdp --samples 0".to_owned(), "samples"),
+            ("eval --model missing.hdp --threads 0".to_owned(), "threads"),
+        ] {
+            let argv: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+            let err = run(&argv[0], &argv[1..]).expect_err(&line);
+            assert_eq!(err, format!("--{flag} must be at least 1"), "{line}");
+        }
+        assert!(!std::path::Path::new(out).exists(), "nothing is written");
     }
 
     /// Runs `line` as a `loadgen` that must be refused before any

@@ -516,7 +516,7 @@ impl HdPipeline {
 
     /// [`evaluate`](HdPipeline::evaluate) on an explicit engine.
     ///
-    /// Samples are scanned in chunks of [`EVAL_SAMPLES_PER_TASK`]:
+    /// Samples are scanned in chunks of 32 (`EVAL_SAMPLES_PER_TASK`):
     /// each chunk is encoded one sample at a time (per-sample streams
     /// derived from the global sample index, so the features never
     /// depend on chunking) and classified through one

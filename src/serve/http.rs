@@ -241,7 +241,7 @@ impl<R: Read> RequestReader<R> {
     /// a busy keep-alive connection, where one segment carries the
     /// whole request and the connection loop can skip re-arming the
     /// socket read timeout. `None` means more bytes are needed (fall
-    /// back to [`read_request`]); protocol violations detectable from
+    /// back to [`read_request`](Self::read_request)); protocol violations detectable from
     /// the buffered bytes alone are reported immediately.
     pub fn try_read_buffered(&mut self) -> Option<Result<Request, HttpError>> {
         let end = match head_end_within_limit(&self.buf) {
