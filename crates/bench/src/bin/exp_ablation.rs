@@ -6,10 +6,6 @@
 //! 2. **Square-root iteration budget** — bisection accuracy vs cost.
 //! 3. **Adaptive vs naive training** — similarity-scaled updates vs
 //!    plain bundling.
-//! 4. **Quantized vs stochastic slot assembly** — the repeat-
-//!    extraction kernel strength of the two feature assemblies.
-//! 5. **Readout vs running-average histogram accumulation** — slot
-//!    noise of the two accumulation modes.
 //!
 //! ```sh
 //! cargo run --release -p hdface-bench --bin exp_ablation [-- --full]
@@ -17,7 +13,7 @@
 
 use hdface::datasets::face2_spec;
 use hdface::hdc::{HdcRng, SeedableRng};
-use hdface::hog::{Accumulation, Assembly, HyperHog, HyperHogConfig};
+use hdface::hog::{HyperHog, HyperHogConfig};
 use hdface::learn::{HdClassifier, TrainConfig};
 use hdface::stochastic::StochasticContext;
 use hdface_bench::{pct, RunConfig, Table};
@@ -61,15 +57,13 @@ fn main() {
     t2.print();
     println!("6 iterations reach the decode noise floor; more buys nothing.\n");
 
-    // ------- shared dataset for the pipeline-level ablations --------
+    // ---------------- 3. adaptive vs naive training -----------------
+    println!("== ablation 3: adaptive vs naive class-hypervector training ==\n");
     let ds = face2_spec()
         .at_size(32)
         .scaled(cfg.pick(160, 280))
         .generate(cfg.seed);
     let (train, test) = ds.split(0.75);
-
-    // ---------------- 3. adaptive vs naive training -----------------
-    println!("== ablation 3: adaptive vs naive class-hypervector training ==\n");
     let mut hog = HyperHog::new(HyperHogConfig::with_dim(dim), cfg.seed);
     let train_feats: Vec<_> = train
         .iter()
@@ -105,67 +99,5 @@ fn main() {
         ]);
     }
     t3.print();
-    println!("the paper's adaptive rule avoids the saturation of naive bundling.\n");
-
-    // ------------- 4. assembly + 5. accumulation modes --------------
-    println!("== ablations 4 & 5: slot assembly and histogram accumulation ==\n");
-    let mut t45 = Table::new(&[
-        "assembly",
-        "accumulation",
-        "repeat-extraction similarity",
-        "test acc",
-    ]);
-    for (assembly, accumulation) in [
-        (Assembly::Quantized, Accumulation::Readout),
-        (Assembly::Quantized, Accumulation::RunningAverage),
-        (Assembly::Stochastic, Accumulation::Readout),
-        (Assembly::Stochastic, Accumulation::RunningAverage),
-    ] {
-        let config = HyperHogConfig::with_dim(dim)
-            .with_assembly(assembly)
-            .with_accumulation(accumulation);
-        let mut hog = HyperHog::new(config, cfg.seed);
-
-        // Kernel strength: similarity between two extractions of the
-        // same image.
-        let img = &train.samples()[1].image.normalized();
-        let fa = hog.extract(img).expect("extract");
-        let fb = hog.extract(img).expect("extract");
-        let repeat_sim = fa.similarity(&fb).expect("sim");
-
-        let train_feats: Vec<_> = train
-            .iter()
-            .map(|s| {
-                (
-                    hog.extract(&s.image.normalized()).expect("extract"),
-                    s.label,
-                )
-            })
-            .collect();
-        let test_feats: Vec<_> = test
-            .iter()
-            .map(|s| {
-                (
-                    hog.extract(&s.image.normalized()).expect("extract"),
-                    s.label,
-                )
-            })
-            .collect();
-        let mut clf = HdClassifier::new(ds.num_classes(), dim);
-        let mut rng = HdcRng::seed_from_u64(cfg.seed);
-        clf.fit(&train_feats, &TrainConfig::default(), &mut rng)
-            .expect("fit");
-        t45.row(&[
-            &format!("{assembly:?}"),
-            &format!("{accumulation:?}"),
-            &format!("{repeat_sim:.3}"),
-            &pct(clf.accuracy(&test_feats).expect("acc")),
-        ]);
-    }
-    t45.print();
-    println!(
-        "quantized slot codebooks give a strong deterministic kernel; popcount\n\
-         read-out accumulation averages per-pixel noise by sqrt(count). The\n\
-         stochastic/running-average corner is the literal-paper-text pipeline."
-    );
+    println!("the paper's adaptive rule avoids the saturation of naive bundling.");
 }

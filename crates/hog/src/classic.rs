@@ -94,10 +94,6 @@ impl ClassicHog {
                 }
             }
         }
-
-        if self.config.block_normalize {
-            feats.block_normalize();
-        }
         feats
     }
 
@@ -212,19 +208,5 @@ mod tests {
         let hog = ClassicHog::default();
         let img = GrayImage::new(16, 16);
         assert_eq!(hog.extract_vec(&img).len(), 2 * 2 * 8);
-    }
-
-    #[test]
-    fn block_normalization_applies_when_enabled() {
-        let mut cfg = HogConfig::paper();
-        cfg.block_normalize = true;
-        let hog = ClassicHog::new(cfg);
-        let img = GrayImage::from_fn(32, 32, |x, _| ((x / 3) % 2) as f32);
-        let f = hog.extract(&img);
-        // Normalized values exceed the raw 0.5 cap check only in norm,
-        // but remain ≤ 1.
-        for &v in f.as_slice() {
-            assert!((0.0..=1.0).contains(&v));
-        }
     }
 }

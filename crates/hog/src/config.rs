@@ -11,22 +11,16 @@ pub struct HogConfig {
     /// (π/2, π, 3π/2 — where tan is non-monotonic) coincide with bin
     /// boundaries, as the paper's angle-bin scheme requires.
     pub bins: usize,
-    /// Whether the classic extractor applies 2×2 block L2
-    /// normalization after building cell histograms. The
-    /// hyperdimensional pipeline stops at cell histograms (as in the
-    /// paper), so parity tests disable this.
-    pub block_normalize: bool,
 }
 
 impl HogConfig {
     /// The paper's configuration: 8×8 cells, 8 signed bins (its bin
-    /// boundaries are indexed i = 1…8), no block normalization.
+    /// boundaries are indexed i = 1…8).
     #[must_use]
     pub fn paper() -> Self {
         HogConfig {
             cell_size: 8,
             bins: 8,
-            block_normalize: false,
         }
     }
 
@@ -53,7 +47,7 @@ impl HogConfig {
     }
 
     /// Total feature length for an image of the given size
-    /// (cells × bins; block normalization preserves length).
+    /// (cells × bins).
     #[must_use]
     pub fn feature_len(&self, width: usize, height: usize) -> usize {
         self.cells_for(width) * self.cells_for(height) * self.bins
@@ -64,55 +58,6 @@ impl Default for HogConfig {
     fn default() -> Self {
         Self::paper()
     }
-}
-
-/// How per-(cell, bin) slot values are assembled into the final
-/// feature hypervector.
-///
-/// Two independently drawn stochastic encodings of the same value `a`
-/// agree only up to `δ = a²`, so bundling raw stochastic slot vectors
-/// yields a *linear kernel on histogram values with heavy
-/// attenuation*. The paper's §3 "base hypervector generation"
-/// describes correlative **vector quantization** — a deterministic
-/// level codebook where equal values map to identical hypervectors
-/// and nearby values stay similar — which is the representation the
-/// classifier wants. Both are provided; quantized is the default and
-/// the difference is measured by the `exp_ablation` experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Assembly {
-    /// Quantize each slot's decoded value onto a correlative level
-    /// codebook (deterministic; strong kernel). One popcount + one
-    /// table lookup per slot — still all-HD machinery.
-    #[default]
-    Quantized,
-    /// Bind the raw stochastic slot vectors directly (pure §4
-    /// arithmetic end-to-end; weak linear kernel).
-    Stochastic,
-}
-
-/// How per-(cell, bin) histogram values are accumulated across the
-/// pixels of a cell.
-///
-/// The paper defines the per-pixel magnitude pipeline in HD terms but
-/// leaves histogram accumulation unspecified; its own comparison and
-/// binary-search machinery reads hypervectors out through popcounts,
-/// so popcount **read-out accumulation** — decode each pixel's
-/// magnitude (one XOR + popcount), sum the scalars per slot, encode
-/// the slot total once — is consistent HD practice and averages the
-/// per-pixel stochastic noise down by `√count`. The pure
-/// **running-average** alternative (`slotₖ = (k/(k+1))·slotₖ₋₁ ⊕
-/// (1/(k+1))·mag`) keeps everything as hypervector ops but its final
-/// noise stays at `1/√D` no matter how many pixels contribute; the
-/// `exp_ablation` experiment quantifies the difference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Accumulation {
-    /// Popcount read-out per pixel, scalar summation, single re-encode
-    /// (default; `√count` noise averaging).
-    #[default]
-    Readout,
-    /// Per-slot running weighted average with count-ratio correction
-    /// (pure ⊕/⊗ pipeline; noisier).
-    RunningAverage,
 }
 
 /// Additional parameters of the hyperdimensional extractor.
@@ -127,18 +72,12 @@ pub struct HyperHogConfig {
     /// Six halvings reach 1.6% resolution — at the decode noise floor
     /// of D = 4k — at 40% less cost than the generic default of 10.
     pub sqrt_iters: usize,
-    /// Random bit-error rate injected into every intermediate
-    /// hypervector (pixel encodings, magnitudes, slot values and the
-    /// bundled feature), used by the Table 2 robustness study.
-    /// `0.0` disables injection.
+    /// Random bit-error rate struck into the pixel encodings, each
+    /// pixel's magnitude (through its law on the read-out) and the
+    /// bundled feature. `0.0` disables injection. Only tests and the
+    /// `feature_hash` pins set it: Table 2 (`exp_table2`) corrupts the
+    /// stored features and class vectors instead.
     pub bit_error_rate: f64,
-    /// Slot-to-feature assembly mode.
-    pub assembly: Assembly,
-    /// Histogram accumulation mode.
-    pub accumulation: Accumulation,
-    /// Number of quantization levels of the correlative slot
-    /// codebook (ignored by [`Assembly::Stochastic`]).
-    pub levels: usize,
 }
 
 impl HyperHogConfig {
@@ -150,30 +89,13 @@ impl HyperHogConfig {
             dim,
             sqrt_iters: 6,
             bit_error_rate: 0.0,
-            assembly: Assembly::Quantized,
-            accumulation: Accumulation::Readout,
-            levels: 32,
         }
-    }
-
-    /// Returns a copy with the given accumulation mode.
-    #[must_use]
-    pub fn with_accumulation(mut self, accumulation: Accumulation) -> Self {
-        self.accumulation = accumulation;
-        self
     }
 
     /// Returns a copy with the given bit-error rate.
     #[must_use]
     pub fn with_bit_error_rate(mut self, rate: f64) -> Self {
         self.bit_error_rate = rate;
-        self
-    }
-
-    /// Returns a copy with the given assembly mode.
-    #[must_use]
-    pub fn with_assembly(mut self, assembly: Assembly) -> Self {
-        self.assembly = assembly;
         self
     }
 }
@@ -193,7 +115,6 @@ mod tests {
         let c = HogConfig::paper();
         assert_eq!(c.cell_size, 8);
         assert_eq!(c.bins, 8);
-        assert!(!c.block_normalize);
         c.validate();
         assert_eq!(HogConfig::default(), c);
     }
@@ -229,18 +150,8 @@ mod tests {
         assert_eq!(h.dim, 4096);
         assert_eq!(h.sqrt_iters, 6);
         assert_eq!(h.bit_error_rate, 0.0);
-        assert_eq!(h.assembly, Assembly::Quantized);
-        assert_eq!(h.accumulation, Accumulation::Readout);
-        assert_eq!(h.levels, 32);
-        assert_eq!(
-            h.with_accumulation(Accumulation::RunningAverage)
-                .accumulation,
-            Accumulation::RunningAverage
-        );
         let noisy = h.with_bit_error_rate(0.02);
         assert_eq!(noisy.bit_error_rate, 0.02);
         assert_eq!(HyperHogConfig::with_dim(1024).dim, 1024);
-        let st = h.with_assembly(Assembly::Stochastic);
-        assert_eq!(st.assembly, Assembly::Stochastic);
     }
 }

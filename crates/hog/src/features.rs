@@ -163,50 +163,6 @@ impl HogFeatures {
             .sum::<f64>()
             / self.values.len() as f64
     }
-
-    /// L2-normalizes each 2×2 block of cells in place (classic HOG
-    /// block normalization with stride 1; values are averaged over the
-    /// blocks containing each cell so the output length is unchanged).
-    pub fn block_normalize(&mut self) {
-        if self.cells_x < 2 || self.cells_y < 2 {
-            // Single row/column: plain L2 over everything.
-            let norm = self.values.iter().map(|v| v * v).sum::<f64>().sqrt();
-            if norm > 1e-12 {
-                for v in &mut self.values {
-                    *v /= norm;
-                }
-            }
-            return;
-        }
-        let mut out = vec![0.0; self.values.len()];
-        let mut counts = vec![0u32; self.values.len()];
-        for by in 0..self.cells_y - 1 {
-            for bx in 0..self.cells_x - 1 {
-                // Norm over the 2×2 block.
-                let mut sq = 0.0;
-                for (dy, dx) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
-                    for b in 0..self.bins {
-                        let v = self.get(bx + dx, by + dy, b);
-                        sq += v * v;
-                    }
-                }
-                let norm = sq.sqrt().max(1e-12);
-                for (dy, dx) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
-                    for b in 0..self.bins {
-                        let i = self.index(bx + dx, by + dy, b);
-                        out[i] += self.values[i] / norm;
-                        counts[i] += 1;
-                    }
-                }
-            }
-        }
-        for (i, v) in out.iter_mut().enumerate() {
-            if counts[i] > 0 {
-                *v /= f64::from(counts[i]);
-            }
-        }
-        self.values = out;
-    }
 }
 
 impl fmt::Debug for HogFeatures {
@@ -289,34 +245,6 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn from_values_rejects_bad_length() {
         let _ = HogFeatures::from_values(1, 1, 2, vec![0.1]);
-    }
-
-    #[test]
-    fn block_normalize_bounds_values() {
-        let mut f = HogFeatures::zeroed(3, 3, 2);
-        for cy in 0..3 {
-            for cx in 0..3 {
-                for b in 0..2 {
-                    f.set(cx, cy, b, 0.4);
-                }
-            }
-        }
-        f.block_normalize();
-        for &v in f.as_slice() {
-            assert!(v > 0.0 && v <= 1.0, "normalized value {v}");
-        }
-    }
-
-    #[test]
-    fn block_normalize_single_cell_grid() {
-        let mut f = HogFeatures::from_values(1, 1, 2, vec![3.0, 4.0]);
-        f.block_normalize();
-        assert!((f.get(0, 0, 0) - 0.6).abs() < 1e-12);
-        assert!((f.get(0, 0, 1) - 0.8).abs() < 1e-12);
-        // All-zero grid stays zero (no NaN).
-        let mut z = HogFeatures::zeroed(1, 1, 2);
-        z.block_normalize();
-        assert_eq!(z.as_slice(), &[0.0, 0.0]);
     }
 
     #[test]

@@ -15,15 +15,17 @@
 //!    of `Gx`, `Gy`, then monotone-tan comparisons against precomputed
 //!    `V_tanθᵢ` / `V_cotθᵢ` hypervectors via the paper's
 //!    `α = (σ|G_y| − r|G_x|)/2` construction. No arctangent anywhere.
-//! 5. **Histogram accumulation** — per-(cell, bin) running weighted
-//!    averages, corrected by a precomputed `V_count/area` ratio
-//!    multiplication so slot values equal (sum of magnitudes ÷ cell
-//!    area), matching the classic extractor bit-for-bit in
-//!    expectation.
-//! 6. **Feature bundling** — each slot value is bound (XOR) to a
-//!    random slot key and the bound slots are majority-bundled into a
-//!    single feature hypervector ready for HDC learning — "there is no
-//!    need for HDC encoding to map data points into high-dimension".
+//! 5. **Histogram read-out** — each pixel's magnitude is read out of
+//!    hyperspace by a popcount (its distance from `V₁`) and summed into
+//!    its (cell, bin) slot, so slot values equal (sum of magnitudes ÷
+//!    cell area), matching the classic extractor in expectation with
+//!    the per-pixel noise averaged down by `√count`.
+//! 6. **Feature bundling** — each slot value is vector-quantized onto a
+//!    correlative level codebook (§3: equal values share one
+//!    hypervector, nearby values stay similar), bound (XOR) to a random
+//!    slot key, and the bound slots are majority-bundled into a single
+//!    feature hypervector ready for HDC learning — "there is no need
+//!    for HDC encoding to map data points into high-dimension".
 
 use std::error::Error;
 use std::fmt;
@@ -87,15 +89,6 @@ impl From<StochasticError> for HyperHogError {
     }
 }
 
-/// One (cell, bin) histogram slot: the stochastic hypervector plus
-/// the scalar read-out that produced it (kept so downstream stages do
-/// not pay redundant decode noise).
-#[derive(Debug, Clone)]
-struct SlotValue {
-    shv: Shv,
-    value: f64,
-}
-
 /// Per-worker mutable extraction state: the stochastic-mask and
 /// error-injection RNG streams, plus the reusable buffers the
 /// stochastic cell pass and the window bundler work in.
@@ -155,11 +148,6 @@ struct CellArena {
     /// Their product `Gx ⊗ Gy`: every tan comparison reads one Hamming
     /// count against it.
     gxy: Shv,
-    /// The running average's magnitude `√((Gx² + Gy²)/2)`, after
-    /// bit-error injection.
-    mag: Shv,
-    /// The next running mean of a bin, swapped into place.
-    blend: Shv,
 }
 
 impl CellArena {
@@ -169,8 +157,6 @@ impl CellArena {
             gx: Shv::zeros(dim),
             gy: Shv::zeros(dim),
             gxy: Shv::zeros(dim),
-            mag: Shv::zeros(dim),
-            blend: Shv::zeros(dim),
         }
     }
 }
@@ -189,8 +175,8 @@ struct BoundaryCode {
 
 /// The hyperdimensional HOG extractor.
 ///
-/// Construction precomputes the boundary-tangent codebook, the
-/// count-ratio codebook and nothing else; per-image work happens in
+/// Construction precomputes the boundary-tangent codebook, the slot
+/// level codebook and nothing else; per-image work happens in
 /// [`extract`](Self::extract) and needs `&mut self` because stochastic
 /// masks are drawn from the context RNG.
 ///
@@ -214,10 +200,9 @@ pub struct HyperHog {
     even_codes: Vec<BoundaryCode>,
     /// Boundary codes for odd quadrants (1, 3), increasing angle.
     odd_codes: Vec<BoundaryCode>,
-    /// `V_{k/c²}` for `k = 0..=c²` (count-ratio correction).
-    ratio_codes: Vec<Shv>,
     /// Correlative level codebook spanning the slot value range
-    /// `[0, 0.5]`: `δ(levelᵢ, levelⱼ) = 1 − |i−j|/(L−1)`.
+    /// `[0, LEVEL_RANGE_MAX]` in `L = SLOT_LEVELS` levels:
+    /// `δ(levelᵢ, levelⱼ) = 1 − |i−j|/(L−1)`.
     level_codes: Vec<BitVector>,
     /// Slot binding keys, grown on demand behind a read-write lock so
     /// any shared-state extraction can warm the cache for everyone
@@ -240,9 +225,9 @@ const PIXEL_STREAM_SALT: u64 = 0x85eb_ca6b_9f4a_7c15;
 const CELL_MASK_SALT: u64 = 0x1656_67b1_9e37_79f9;
 const CELL_NOISE_SALT: u64 = 0x2545_f491_4f6c_dd1d;
 
-/// One cached (cell, bin) histogram slot of a pyramid level:
-/// assembly-resolved bits ready for slot-key binding, plus the scalar
-/// read-out for diagnostics.
+/// One cached (cell, bin) histogram slot of a pyramid level: its
+/// level code, ready for slot-key binding, plus the scalar read-out
+/// for diagnostics.
 #[derive(Debug, Clone)]
 pub struct CachedSlot {
     bits: BitVector,
@@ -250,8 +235,8 @@ pub struct CachedSlot {
 }
 
 impl CachedSlot {
-    /// The assembly-resolved slot hypervector (quantized level code or
-    /// stochastic value vector, per the extractor configuration).
+    /// The slot's level code: its value quantized onto the extractor's
+    /// correlative level codebook.
     #[must_use]
     pub fn bits(&self) -> &BitVector {
         &self.bits
@@ -364,7 +349,6 @@ impl LevelCellCache {
 /// linearly with level distance and equal values map to identical
 /// vectors.
 fn build_level_codes(dim: usize, levels: usize, rng: &mut HdcRng) -> Vec<BitVector> {
-    let levels = levels.max(2);
     let lo = BitVector::random(dim, rng);
     // Flip set: a fixed random half of the dimensions, in a fixed
     // random order.
@@ -424,14 +408,9 @@ impl HyperHog {
             .map(|&(r, _)| make_code(-1.0 / r))
             .collect();
 
-        let area = config.hog.cell_size * config.hog.cell_size;
-        let ratio_codes = (0..=area)
-            .map(|k| ctx.encode(k as f64 / area as f64).expect("ratio in [0, 1]"))
-            .collect();
-
         let key_seed = seed ^ 0x9e37_79b9_7f4a_7c15;
         let mut code_rng = HdcRng::seed_from_u64(key_seed);
-        let level_codes = build_level_codes(config.dim, config.levels, &mut code_rng);
+        let level_codes = build_level_codes(config.dim, Self::SLOT_LEVELS, &mut code_rng);
 
         HyperHog {
             config,
@@ -439,7 +418,6 @@ impl HyperHog {
             boundaries,
             even_codes,
             odd_codes,
-            ratio_codes,
             level_codes,
             slot_keys: RwLock::new(Vec::new()),
             key_warm: AtomicU64::new(0),
@@ -456,16 +434,13 @@ impl HyperHog {
     /// top level) to spend its resolution where the data lives.
     const LEVEL_RANGE_MAX: f64 = 0.25;
 
-    /// Maps a slot scalar to its correlative level vector (the scalar
-    /// is the popcount read-out produced during accumulation).
-    fn quantize_slot(&self, value: f64) -> BitVector {
-        self.quantize_slot_ref(value).clone()
-    }
+    /// Levels of the correlative slot codebook spanning
+    /// `[0, LEVEL_RANGE_MAX]`.
+    const SLOT_LEVELS: usize = 32;
 
-    /// Borrowing form of [`quantize_slot`](Self::quantize_slot): the
-    /// bundling hot path binds the codebook entry in place, so it
-    /// never needs an owned copy.
-    fn quantize_slot_ref(&self, value: f64) -> &BitVector {
+    /// Maps a slot scalar (the popcount read-out produced during
+    /// accumulation) to its correlative level vector.
+    fn quantize_slot(&self, value: f64) -> &BitVector {
         let v = value.clamp(0.0, Self::LEVEL_RANGE_MAX);
         let levels = self.level_codes.len();
         let idx = ((v / Self::LEVEL_RANGE_MAX) * (levels - 1) as f64).round() as usize;
@@ -587,44 +562,37 @@ impl HyperHog {
     }
 
     /// The per-pixel gradient → magnitude → angle-bin pipeline over
-    /// one cell whose top-left pixel is `(x0, y0)`, accumulating into
-    /// the cell's per-bin state (`sums`/`means`/`counts` are
-    /// `bins`-long slices; a bin's mean is meaningful once its count
-    /// is non-zero, and any buffer may stand in before that). `at`
-    /// resolves (possibly out-of-bounds) absolute pixel coordinates to
-    /// encoded pixel hypervectors.
+    /// one cell whose top-left pixel is `(x0, y0)`, adding each pixel's
+    /// read-out magnitude to its bin of `sums` (a `bins`-long slice).
+    /// `at` resolves (possibly out-of-bounds) absolute pixel
+    /// coordinates to encoded pixel hypervectors.
     ///
     /// Every intermediate is written into the scratch's
     /// [`CellArena`], so no pixel allocates. What would only be decoded
     /// is never built: the gradients' squares, their halved sum, the
-    /// root's bisection and each tan comparison's `α` are drawn from
-    /// their exact laws, and in read-out mode, which only decodes the
-    /// magnitude, so is the root itself and its bit errors. RNG draws
+    /// root's bisection, the root's bit errors and each tan
+    /// comparison's `α` are drawn from their exact laws. RNG draws
     /// happen in a fixed order per pixel — gradients, halved sum of
-    /// squares, square root, bit errors, tan comparisons, running mean
-    /// — which is all that defines the output bits.
+    /// squares, square root, bit errors, tan comparisons — which is all
+    /// that defines the output bits.
     ///
     /// Shared by the per-window path
     /// ([`extract_slots_with`](Self::extract_slots_with)) and the
     /// level-cache path
     /// ([`compute_level_cell`](Self::compute_level_cell)), which run
     /// it over different pixel sources.
-    #[allow(clippy::too_many_arguments)]
     fn cell_pass<'p, F>(
         &self,
         at: &F,
         x0: usize,
         y0: usize,
         sums: &mut [f64],
-        means: &mut [Shv],
-        counts: &mut [usize],
         scratch: &mut HogScratch,
     ) -> Result<(), HyperHogError>
     where
         F: Fn(isize, isize) -> &'p Shv,
     {
         let c = self.config.hog.cell_size;
-        let readout = self.config.accumulation == crate::config::Accumulation::Readout;
         let iters = self.config.sqrt_iters;
         let n_bounds = self.boundaries.tangents().len();
         let (mask_rng, noise_rng, a) = scratch.split(self.config.dim);
@@ -639,20 +607,13 @@ impl HyperHog {
                 ctx.sub_halved_into(at(x, y + 1), at(x, y - 1), mask_rng, &mut a.mask, &mut a.gy)?;
 
                 // Magnitude: √((Gx² + Gy²)/2), rooting a draw of the
-                // halved sum's decode. Read-out only decodes it, so the
-                // root stays a distance from V₁ and bit errors strike
-                // it through their law; the running average keeps it,
-                // so it is built and struck.
+                // halved sum's decode. Only its read-out is used, so
+                // the root stays a distance from V₁ and bit errors
+                // strike it through their law.
                 let sum = ctx.decode_halved_square_sum_with(&a.gx, &a.gy, mask_rng)?;
-                let decoded = if readout {
-                    let h = ctx.sqrt_distance_with(sum.halved_sum, iters, mask_rng);
-                    let h = ctx.distance_after_bit_errors(h, self.config.bit_error_rate, noise_rng);
-                    Some(ctx.value_at_distance(h))
-                } else {
-                    ctx.sqrt_with_iters_into(sum.halved_sum, iters, mask_rng, &mut a.mag)?;
-                    self.corrupt_in_place(&mut a.mag, noise_rng, &mut a.mask);
-                    None
-                };
+                let h = ctx.sqrt_distance_with(sum.halved_sum, iters, mask_rng);
+                let h = ctx.distance_after_bit_errors(h, self.config.bit_error_rate, noise_rng);
+                let magnitude = ctx.value_at_distance(h);
 
                 // Angle bin: quadrant + tan comparisons.
                 let gx_pos = ctx.value_at_distance(sum.ha) >= 0.0;
@@ -672,39 +633,21 @@ impl HyperHog {
                 }
                 let bin = self.boundaries.global_bin(quadrant, in_q);
 
-                // Histogram accumulation.
-                let count = counts[bin];
-                if let Some(magnitude) = decoded {
-                    // Popcount read-out: scalar summation.
-                    sums[bin] += magnitude.max(0.0);
-                } else if count == 0 {
-                    means[bin].clone_from(&a.mag);
-                } else {
-                    let wprev = count as f64 / (count + 1) as f64;
-                    ctx.weighted_average_into(
-                        &means[bin],
-                        &a.mag,
-                        wprev,
-                        mask_rng,
-                        &mut a.mask,
-                        &mut a.blend,
-                    )?;
-                    std::mem::swap(&mut means[bin], &mut a.blend);
-                }
-                counts[bin] = count + 1;
+                // Popcount read-out: scalar summation.
+                sums[bin] += magnitude.max(0.0);
             }
         }
         Ok(())
     }
 
     /// Runs the full per-pixel pipeline and accumulates per-slot
-    /// histogram values; returns the slot values along with the grid
-    /// shape.
+    /// histogram values; returns the slot values (sum of magnitudes ÷
+    /// cell area) along with the grid shape.
     fn extract_slots_with(
         &self,
         image: &GrayImage,
         scratch: &mut HogScratch,
-    ) -> Result<(Vec<SlotValue>, usize, usize), HyperHogError> {
+    ) -> Result<(Vec<f64>, usize, usize), HyperHogError> {
         let c = self.config.hog.cell_size;
         let cells_x = self.config.hog.cells_for(image.width());
         let cells_y = self.config.hog.cells_for(image.height());
@@ -725,58 +668,28 @@ impl HyperHog {
             &pixels[cy * w + cx]
         };
 
-        // Per-slot accumulation state: running hypervector mean (for
-        // the RunningAverage mode; empty until a slot's first pixel
-        // copies its magnitude in) and scalar magnitude sum (for the
-        // Readout mode).
-        let mut means: Vec<Shv> = vec![Shv::zeros(0); cells_x * cells_y * bins];
         let mut sums: Vec<f64> = vec![0.0; cells_x * cells_y * bins];
-        let mut counts: Vec<usize> = vec![0; cells_x * cells_y * bins];
-        let readout = self.config.accumulation == crate::config::Accumulation::Readout;
-
         for cy in 0..cells_y {
             for cx in 0..cells_x {
                 let base = (cy * cells_x + cx) * bins;
-                self.cell_pass(
-                    &at,
-                    cx * c,
-                    cy * c,
-                    &mut sums[base..base + bins],
-                    &mut means[base..base + bins],
-                    &mut counts[base..base + bins],
-                    scratch,
-                )?;
+                self.cell_pass(&at, cx * c, cy * c, &mut sums[base..base + bins], scratch)?;
             }
         }
 
         let area = (c * c) as f64;
-        let mut slots = Vec::with_capacity(means.len());
-        if readout {
-            // Slot value = Σ magnitudes / cell area, encoded once. The
-            // already-known scalar rides along so later stages do not
-            // pay a redundant decode's worth of noise.
-            for sum in sums {
-                let value = (sum / area).clamp(0.0, 1.0);
-                let encoded = self.ctx.encode_with(value, &mut scratch.mask_rng)?;
-                let shv = self.corrupt_with(encoded, &mut scratch.noise_rng);
-                slots.push(SlotValue { shv, value });
-            }
-        } else {
-            // Count-ratio correction: slot value = mean ⊗ V_{count/area}.
-            let zero = self.ctx.encode_with(0.0, &mut scratch.mask_rng)?;
-            for (mean, count) in means.iter().zip(counts) {
-                let shv = match count {
-                    0 => zero.clone(),
-                    _ => self.ctx.mul(mean, &self.ratio_codes[count])?,
-                };
-                let shv = self.corrupt_with(shv, &mut scratch.noise_rng);
-                // Pure-HD mode: the value is only accessible through a
-                // decode.
-                let value = self.ctx.decode(&shv)?;
-                slots.push(SlotValue { shv, value });
-            }
+        let (mask_rng, noise_rng, a) = scratch.split(self.config.dim);
+        let mut values = Vec::with_capacity(sums.len());
+        for sum in sums {
+            let value = (sum / area).clamp(0.0, 1.0);
+            // Nothing reads the slot's stochastic encoding, but its
+            // draws advance the streams the bundle's tie-breaks and bit
+            // errors come from, so they stay.
+            self.ctx
+                .encode_into(value, mask_rng, &mut a.mask, &mut a.gx)?;
+            self.corrupt_in_place(&mut a.gx, noise_rng, &mut a.mask);
+            values.push(value);
         }
-        Ok((slots, cells_x, cells_y))
+        Ok((values, cells_x, cells_y))
     }
 
     /// Number of histogram slots an image of the given size produces
@@ -883,13 +796,13 @@ impl HyperHog {
     }
 
     /// The decoded slot values laid out as a per-(cell, bin) histogram.
-    fn histogram_of(&self, slots: &[SlotValue], cells_x: usize, cells_y: usize) -> HogFeatures {
+    fn histogram_of(&self, slots: &[f64], cells_x: usize, cells_y: usize) -> HogFeatures {
         let bins = self.config.hog.bins;
         let mut feats = HogFeatures::zeroed(cells_x, cells_y, bins);
-        for (i, slot) in slots.iter().enumerate() {
+        for (i, &value) in slots.iter().enumerate() {
             let bin = i % bins;
             let cell = i / bins;
-            feats.set(cell % cells_x, cell / cells_x, bin, slot.value);
+            feats.set(cell % cells_x, cell / cells_x, bin, value);
         }
         feats
     }
@@ -952,23 +865,19 @@ impl HyperHog {
         Ok(self.bundle_slots(&slots, scratch))
     }
 
-    /// Binds every slot to its key and majority-bundles them into the
-    /// feature hypervector.
-    fn bundle_slots(&self, slots: &[SlotValue], scratch: &mut HogScratch) -> BitVector {
+    /// Binds every slot's level code to its key and majority-bundles
+    /// them into the feature hypervector.
+    fn bundle_slots(&self, slots: &[f64], scratch: &mut HogScratch) -> BitVector {
         let keys = self.slot_keys_for(slots.len());
         // Fused word-level bundling: bind each slot to its key and
         // update the carry-save bit counts in one pass — bit-identical
         // to the scalar xor + `Accumulator::add` + `threshold`
         // reference (tie-break RNG draws included).
         scratch.bundler.reset(self.config.dim);
-        for (i, slot) in slots.iter().enumerate() {
-            let value_bits = match self.config.assembly {
-                crate::config::Assembly::Quantized => self.quantize_slot_ref(slot.value),
-                crate::config::Assembly::Stochastic => slot.shv.as_bits(),
-            };
+        for (&value, key) in slots.iter().zip(keys.iter()) {
             scratch
                 .bundler
-                .bind_accumulate(value_bits, &keys[i])
+                .bind_accumulate(self.quantize_slot(value), key)
                 .expect("dims equal");
         }
         drop(keys);
@@ -1090,55 +999,22 @@ impl HyperHog {
             &patch[dy * pw + dx]
         };
 
-        let readout = self.config.accumulation == crate::config::Accumulation::Readout;
         let mut sums = vec![0.0; bins];
-        let mut means = vec![Shv::zeros(0); bins];
-        let mut counts = vec![0usize; bins];
-        self.cell_pass(
-            &at,
-            x0,
-            y0,
-            &mut sums,
-            &mut means,
-            &mut counts,
-            &mut scratch,
-        )?;
+        self.cell_pass(&at, x0, y0, &mut sums, &mut scratch)?;
 
-        // Finalize each bin with the same arithmetic as the per-window
-        // path, resolving the assembly immediately so windows only
-        // bind and bundle.
+        // Quantize each bin as the per-window path's bundle does, so
+        // windows only bind and bundle.
         let area = (c * c) as f64;
-        let mut out = Vec::with_capacity(bins);
-        if readout {
-            for sum in sums {
+        Ok(sums
+            .into_iter()
+            .map(|sum| {
                 let value = (sum / area).clamp(0.0, 1.0);
-                let bits = match self.config.assembly {
-                    crate::config::Assembly::Quantized => self.quantize_slot(value),
-                    crate::config::Assembly::Stochastic => {
-                        let encoded = self.ctx.encode_with(value, &mut scratch.mask_rng)?;
-                        self.corrupt_with(encoded, &mut scratch.noise_rng)
-                            .into_bits()
-                    }
-                };
-                out.push(CachedSlot { bits, value });
-            }
-        } else {
-            let zero = self.ctx.encode_with(0.0, &mut scratch.mask_rng)?;
-            for (mean, count) in means.iter().zip(counts) {
-                let shv = match count {
-                    0 => zero.clone(),
-                    _ => self.ctx.mul(mean, &self.ratio_codes[count])?,
-                };
-                let shv = self.corrupt_with(shv, &mut scratch.noise_rng);
-                let value = self.ctx.decode(&shv)?;
-                let bits = match self.config.assembly {
-                    crate::config::Assembly::Quantized => self.quantize_slot(value),
-                    crate::config::Assembly::Stochastic => shv.into_bits(),
-                };
-                out.push(CachedSlot { bits, value });
-            }
-        }
-        Ok(out)
+                CachedSlot {
+                    bits: self.quantize_slot(value).clone(),
+                    value,
+                }
+            })
+            .collect())
     }
 
     /// Builds the full cell cache of one pyramid level serially (the
@@ -1263,16 +1139,9 @@ impl fmt::Debug for HyperHog {
 mod tests {
     use super::*;
     use crate::classic::ClassicHog;
-    use crate::config::HogConfig;
 
     fn small_config(dim: usize) -> HyperHogConfig {
-        let mut c = HyperHogConfig::with_dim(dim.max(64));
-        c.hog = HogConfig {
-            cell_size: 8,
-            bins: 8,
-            block_normalize: false,
-        };
-        c
+        HyperHogConfig::with_dim(dim.max(64))
     }
 
     #[test]
@@ -1432,28 +1301,6 @@ mod tests {
         let b = hog.extract(&img).unwrap();
         let sim = a.similarity(&b).unwrap();
         assert!(sim > 0.7, "repeat extraction similarity {sim}");
-    }
-
-    #[test]
-    fn stochastic_assembly_gives_weaker_kernel_than_quantized() {
-        // The documented ablation: pure stochastic slot binding keeps
-        // only a weak value-product kernel across independent runs.
-        let img = GrayImage::from_fn(16, 16, |x, _| x as f32 / 15.0);
-        let mut q = HyperHog::new(small_config(4096), 12);
-        let qa = q.extract(&img).unwrap();
-        let qb = q.extract(&img).unwrap();
-        let mut s = HyperHog::new(
-            small_config(4096).with_assembly(crate::config::Assembly::Stochastic),
-            12,
-        );
-        let sa = s.extract(&img).unwrap();
-        let sb = s.extract(&img).unwrap();
-        let q_sim = qa.similarity(&qb).unwrap();
-        let s_sim = sa.similarity(&sb).unwrap();
-        assert!(
-            q_sim > s_sim + 0.2,
-            "quantized {q_sim} should beat stochastic {s_sim}"
-        );
     }
 
     #[test]
@@ -1637,8 +1484,8 @@ mod tests {
 
     /// The allocating cell pass and the two extraction paths built on
     /// it, kept as the bit-for-bit reference for the arena-backed pass:
-    /// every op returns a fresh vector, means are `Option`s, and the
-    /// draw order is the one the production pass must reproduce.
+    /// every op returns a fresh vector, and the draw order is the one
+    /// the production pass must reproduce.
     ///
     /// The pass takes the laws it draws from as a parameter.
     /// [`Path::Laws`] makes the production draws; [`Path::Vectors`]
@@ -1652,45 +1499,37 @@ mod tests {
         /// Which draws the reference pass makes.
         #[derive(Debug, Clone, Copy)]
         pub(super) enum Path {
-            /// The production draws: decode laws, the count root (built
-            /// only for the running average), the bit-error law on a
-            /// read-out magnitude and the `α` sign law.
+            /// The production draws: decode laws, the count root, the
+            /// bit-error law on the read-out magnitude and the `α` sign
+            /// law.
             Laws,
             /// Every intermediate a hypervector.
             Vectors,
         }
 
-        /// A pixel's magnitude `√((Gx² + Gy²)/2)` after bit errors: its
-        /// decode, and the vector itself unless the pass only decodes
-        /// it.
-        pub(super) fn magnitude(
+        /// A pixel's read-out magnitude `√((Gx² + Gy²)/2)` after bit
+        /// errors.
+        fn magnitude(
             hog: &HyperHog,
             path: Path,
             gx: &Shv,
             gy: &Shv,
             mask_rng: &mut HdcRng,
             noise_rng: &mut HdcRng,
-        ) -> (f64, Option<Shv>) {
+        ) -> f64 {
             let ctx = &hog.ctx;
-            let iters = hog.config.sqrt_iters;
-            let mag = match path {
+            match path {
                 Path::Laws => {
                     let sum = ctx.decode_halved_square_sum_with(gx, gy, mask_rng).unwrap();
-                    if hog.config.accumulation == crate::config::Accumulation::Readout {
-                        let h = ctx.sqrt_distance_with(sum.halved_sum, iters, mask_rng);
-                        let ber = hog.config.bit_error_rate;
-                        let h = ctx.distance_after_bit_errors(h, ber, noise_rng);
-                        return (ctx.value_at_distance(h), None);
-                    }
-                    let mut mag = Shv::zeros(ctx.dim());
-                    ctx.sqrt_with_iters_into(sum.halved_sum, iters, mask_rng, &mut mag)
-                        .unwrap();
-                    mag
+                    let h = ctx.sqrt_distance_with(sum.halved_sum, hog.config.sqrt_iters, mask_rng);
+                    let h = ctx.distance_after_bit_errors(h, hog.config.bit_error_rate, noise_rng);
+                    ctx.value_at_distance(h)
                 }
-                Path::Vectors => magnitude_by_vectors(hog, gx, gy, mask_rng),
-            };
-            let mag = corrupt(hog, mag, noise_rng);
-            (ctx.decode(&mag).unwrap(), Some(mag))
+                Path::Vectors => {
+                    let mag = magnitude_by_vectors(hog, gx, gy, mask_rng);
+                    ctx.decode(&corrupt(hog, mag, noise_rng)).unwrap()
+                }
+            }
         }
 
         /// The magnitude with every intermediate a hypervector: two
@@ -1783,14 +1622,11 @@ mod tests {
             x0: usize,
             y0: usize,
             sums: &mut [f64],
-            means: &mut [Option<Shv>],
-            counts: &mut [usize],
             mask_rng: &mut HdcRng,
             noise_rng: &mut HdcRng,
         ) {
             let ctx = &hog.ctx;
             let c = hog.config.hog.cell_size;
-            let readout = hog.config.accumulation == crate::config::Accumulation::Readout;
             for py in 0..c {
                 for px in 0..c {
                     let x = (x0 + px) as isize;
@@ -1801,7 +1637,7 @@ mod tests {
                     let gy = ctx
                         .sub_halved_with(at(x, y + 1), at(x, y - 1), mask_rng)
                         .unwrap();
-                    let (value, mag) = magnitude(hog, path, &gx, &gy, mask_rng, noise_rng);
+                    let value = magnitude(hog, path, &gx, &gy, mask_rng, noise_rng);
 
                     let gx_pos = ctx.is_non_negative(&gx).unwrap();
                     let gy_pos = ctx.is_non_negative(&gy).unwrap();
@@ -1816,23 +1652,7 @@ mod tests {
                         }
                     }
                     let bin = hog.boundaries.global_bin(quadrant, in_q);
-
-                    let count = counts[bin];
-                    if readout {
-                        sums[bin] += value.max(0.0);
-                    } else {
-                        let mag = mag.expect("the running average keeps its magnitude");
-                        let new_mean = match &means[bin] {
-                            None => mag,
-                            Some(prev) => {
-                                let wprev = count as f64 / (count + 1) as f64;
-                                ctx.weighted_average_with(prev, &mag, wprev, mask_rng)
-                                    .unwrap()
-                            }
-                        };
-                        means[bin] = Some(new_mean);
-                    }
-                    counts[bin] = count + 1;
+                    sums[bin] += value.max(0.0);
                 }
             }
         }
@@ -1842,7 +1662,7 @@ mod tests {
             hog: &HyperHog,
             image: &GrayImage,
             scratch: &mut HogScratch,
-        ) -> (Vec<SlotValue>, usize, usize) {
+        ) -> (Vec<f64>, usize, usize) {
             let ctx = &hog.ctx;
             let c = hog.config.hog.cell_size;
             let bins = hog.config.hog.bins;
@@ -1861,10 +1681,7 @@ mod tests {
                 let cy = y.clamp(0, h as isize - 1) as usize;
                 &pixels[cy * w + cx]
             };
-            let n = cells_x * cells_y * bins;
-            let mut means: Vec<Option<Shv>> = vec![None; n];
-            let mut sums = vec![0.0; n];
-            let mut counts = vec![0usize; n];
+            let mut sums = vec![0.0; cells_x * cells_y * bins];
             for cy in 0..cells_y {
                 for cx in 0..cells_x {
                     let base = (cy * cells_x + cx) * bins;
@@ -1875,8 +1692,6 @@ mod tests {
                         cx * c,
                         cy * c,
                         &mut sums[base..base + bins],
-                        &mut means[base..base + bins],
-                        &mut counts[base..base + bins],
                         &mut scratch.mask_rng,
                         &mut scratch.noise_rng,
                     );
@@ -1884,24 +1699,13 @@ mod tests {
             }
             let area = (c * c) as f64;
             let mut slots = Vec::new();
-            if hog.config.accumulation == crate::config::Accumulation::Readout {
-                for sum in sums {
-                    let value = (sum / area).clamp(0.0, 1.0);
-                    let encoded = ctx.encode_with(value, &mut scratch.mask_rng).unwrap();
-                    let shv = corrupt(hog, encoded, &mut scratch.noise_rng);
-                    slots.push(SlotValue { shv, value });
-                }
-            } else {
-                let zero = ctx.encode_with(0.0, &mut scratch.mask_rng).unwrap();
-                for (mean, count) in means.into_iter().zip(counts) {
-                    let shv = match mean {
-                        None => zero.clone(),
-                        Some(m) => ctx.mul(&m, &hog.ratio_codes[count]).unwrap(),
-                    };
-                    let shv = corrupt(hog, shv, &mut scratch.noise_rng);
-                    let value = ctx.decode(&shv).unwrap();
-                    slots.push(SlotValue { shv, value });
-                }
+            for sum in sums {
+                let value = (sum / area).clamp(0.0, 1.0);
+                // Each slot's stochastic encoding: drawn, struck and
+                // never read.
+                let encoded = ctx.encode_with(value, &mut scratch.mask_rng).unwrap();
+                corrupt(hog, encoded, &mut scratch.noise_rng);
+                slots.push(value);
             }
             (slots, cells_x, cells_y)
         }
@@ -1943,8 +1747,6 @@ mod tests {
             };
             let mut scratch = HyperHog::scratch_for_cell(level_seed, cx, cy);
             let mut sums = vec![0.0; bins];
-            let mut means: Vec<Option<Shv>> = vec![None; bins];
-            let mut counts = vec![0usize; bins];
             cell_pass(
                 hog,
                 path,
@@ -1952,49 +1754,22 @@ mod tests {
                 x0,
                 y0,
                 &mut sums,
-                &mut means,
-                &mut counts,
                 &mut scratch.mask_rng,
                 &mut scratch.noise_rng,
             );
             let area = (c * c) as f64;
-            let stochastic = hog.config.assembly == crate::config::Assembly::Stochastic;
-            let mut out = Vec::new();
-            if hog.config.accumulation == crate::config::Accumulation::Readout {
-                for sum in sums {
+            sums.into_iter()
+                .map(|sum| {
                     let value = (sum / area).clamp(0.0, 1.0);
-                    let bits = if stochastic {
-                        let encoded = ctx.encode_with(value, &mut scratch.mask_rng).unwrap();
-                        corrupt(hog, encoded, &mut scratch.noise_rng).into_bits()
-                    } else {
-                        hog.quantize_slot(value)
-                    };
-                    out.push(CachedSlot { bits, value });
-                }
-            } else {
-                let zero = ctx.encode_with(0.0, &mut scratch.mask_rng).unwrap();
-                for (mean, count) in means.into_iter().zip(counts) {
-                    let shv = match mean {
-                        None => zero.clone(),
-                        Some(m) => ctx.mul(&m, &hog.ratio_codes[count]).unwrap(),
-                    };
-                    let shv = corrupt(hog, shv, &mut scratch.noise_rng);
-                    let value = ctx.decode(&shv).unwrap();
-                    let bits = if stochastic {
-                        shv.into_bits()
-                    } else {
-                        hog.quantize_slot(value)
-                    };
-                    out.push(CachedSlot { bits, value });
-                }
-            }
-            out
+                    let bits = hog.quantize_slot(value).clone();
+                    CachedSlot { bits, value }
+                })
+                .collect()
         }
     }
 
     #[test]
     fn level_cell_slots_follow_the_vector_path_law() {
-        use crate::config::Accumulation;
         // Mean and unbiased variance of one slot over many streams.
         let moments = |xs: &[f64]| {
             let n = xs.len() as f64;
@@ -2005,10 +1780,9 @@ mod tests {
         // One 4×4 cell of a high-contrast image, its patch clamped at
         // every border; each level seed is an independent stream. The
         // read-out slot value is the cell's mean decoded magnitude per
-        // bin, so it carries the magnitude's law undiluted (a running
-        // average adds a final decode's noise on top).
+        // bin, so it carries the magnitude's law undiluted.
         let img = GrayImage::from_fn(4, 4, |x, y| ((x * 37 + y * 91) % 11) as f32 / 10.0);
-        let mut config = small_config(512).with_accumulation(Accumulation::Readout);
+        let mut config = small_config(512);
         config.hog.cell_size = 4;
         let hog = HyperHog::new(config, 33);
         let bins = hog.config.hog.bins;
@@ -2133,7 +1907,6 @@ mod tests {
 
     #[test]
     fn arena_pass_matches_the_allocating_reference_bit_for_bit() {
-        use crate::config::{Accumulation, Assembly};
         // Textured, with a ragged right and bottom edge: every cell of
         // the 3×2 grid touches the border, and the right-hand cells
         // read a real pixel past their last column.
@@ -2141,60 +1914,45 @@ mod tests {
             (0.5 + 0.45 * ((x as f32 * 0.9).sin() * (y as f32 * 0.6 + 0.3).cos())).clamp(0.0, 1.0)
         });
         for dim in [64usize, 1000, 4096, 8193] {
-            for accumulation in [Accumulation::Readout, Accumulation::RunningAverage] {
-                for assembly in [Assembly::Quantized, Assembly::Stochastic] {
-                    for ber in [0.0, 0.02] {
-                        let config = small_config(dim)
-                            .with_accumulation(accumulation)
-                            .with_assembly(assembly)
-                            .with_bit_error_rate(ber);
-                        let case = format!("D={dim} {accumulation:?} {assembly:?} ber={ber}");
-                        let hog = HyperHog::new(config, 31);
-                        let (cells_x, cells_y) = hog.cell_grid(img.width(), img.height());
-                        assert_eq!((cells_x, cells_y), (3, 2));
-                        for cy in 0..cells_y {
-                            for cx in 0..cells_x {
-                                let got = hog.compute_level_cell(&img, cx, cy, 5).unwrap();
-                                let want = reference::level_cell(
-                                    &hog,
-                                    reference::Path::Laws,
-                                    &img,
-                                    cx,
-                                    cy,
-                                    5,
-                                );
-                                assert_eq!(got.len(), want.len());
-                                for (g, w) in got.iter().zip(&want) {
-                                    assert_eq!(g.bits(), w.bits(), "{case} cell ({cx},{cy})");
-                                    assert_eq!(
-                                        g.value().to_bits(),
-                                        w.value().to_bits(),
-                                        "{case} cell ({cx},{cy})"
-                                    );
-                                }
-                            }
+            for ber in [0.0, 0.02] {
+                let case = format!("D={dim} ber={ber}");
+                let hog = HyperHog::new(small_config(dim).with_bit_error_rate(ber), 31);
+                let (cells_x, cells_y) = hog.cell_grid(img.width(), img.height());
+                assert_eq!((cells_x, cells_y), (3, 2));
+                for cy in 0..cells_y {
+                    for cx in 0..cells_x {
+                        let got = hog.compute_level_cell(&img, cx, cy, 5).unwrap();
+                        let want =
+                            reference::level_cell(&hog, reference::Path::Laws, &img, cx, cy, 5);
+                        assert_eq!(got.len(), want.len());
+                        for (g, w) in got.iter().zip(&want) {
+                            assert_eq!(g.bits(), w.bits(), "{case} cell ({cx},{cy})");
+                            assert_eq!(
+                                g.value().to_bits(),
+                                w.value().to_bits(),
+                                "{case} cell ({cx},{cy})"
+                            );
                         }
-
-                        let got = hog
-                            .extract_histogram_with(&img, &mut hog.scratch_for_stream(2))
-                            .unwrap();
-                        let (slots, cx, cy) =
-                            reference::slots(&hog, &img, &mut hog.scratch_for_stream(2));
-                        let want = hog.histogram_of(&slots, cx, cy);
-                        let bits = |f: &HogFeatures| -> Vec<u64> {
-                            f.as_slice().iter().map(|v| v.to_bits()).collect()
-                        };
-                        assert_eq!(bits(&got), bits(&want), "{case} histogram");
-
-                        let got = hog
-                            .extract_with(&img, &mut hog.scratch_for_stream(3))
-                            .unwrap();
-                        let mut scratch = hog.scratch_for_stream(3);
-                        let (slots, _, _) = reference::slots(&hog, &img, &mut scratch);
-                        let want = hog.bundle_slots(&slots, &mut scratch);
-                        assert_eq!(got, want, "{case} feature");
                     }
                 }
+
+                let got = hog
+                    .extract_histogram_with(&img, &mut hog.scratch_for_stream(2))
+                    .unwrap();
+                let (slots, cx, cy) = reference::slots(&hog, &img, &mut hog.scratch_for_stream(2));
+                let want = hog.histogram_of(&slots, cx, cy);
+                let bits = |f: &HogFeatures| -> Vec<u64> {
+                    f.as_slice().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "{case} histogram");
+
+                let got = hog
+                    .extract_with(&img, &mut hog.scratch_for_stream(3))
+                    .unwrap();
+                let mut scratch = hog.scratch_for_stream(3);
+                let (slots, _, _) = reference::slots(&hog, &img, &mut scratch);
+                let want = hog.bundle_slots(&slots, &mut scratch);
+                assert_eq!(got, want, "{case} feature");
             }
         }
     }

@@ -4,7 +4,7 @@
 //!
 //! * [`ClassicHog`] — the float reference: central-difference
 //!   gradients, magnitude `√((Gx²+Gy²)/2)`, signed orientation
-//!   binning, per-cell histograms (optionally block-normalized).
+//!   binning, per-cell histograms.
 //! * [`HyperHog`] — the paper's contribution (§4.3): the *entire*
 //!   pipeline runs on stochastic binary hypervectors. Pixels are
 //!   quantized into correlative hypervectors, gradients are halved
@@ -47,7 +47,7 @@ mod lbp;
 
 pub use binning::{bin_of_angle, quadrant_of, BinBoundaries};
 pub use classic::{gradient_at, ClassicHog};
-pub use config::{Accumulation, Assembly, HogConfig, HyperHogConfig};
+pub use config::{HogConfig, HyperHogConfig};
 pub use features::HogFeatures;
 pub use haar::{HaarBank, HaarFeature, HaarKind};
 pub use hyper::{CachedSlot, HogScratch, HyperHog, HyperHogError, LevelCellCache};

@@ -127,11 +127,17 @@ impl HdPipeline {
     /// # Errors
     ///
     /// Returns [`PipelineError::NotTrained`] when no classifier has
-    /// been fit yet.
+    /// been fit yet, and [`PipelineError::NotPersistable`] when the
+    /// extractor is not the one [`load_bytes`](Self::load_bytes)
+    /// rebuilds from the header: the file records only the mode tag,
+    /// the dimensionality and the seed.
     pub fn save_bytes(&self) -> Result<Vec<u8>, PipelineError> {
         // The binary model is derived deterministically (seed-fixed
         // tie-break RNG) — see `HdPipeline::quantized_model`.
         let model = self.quantized_model().ok_or(PipelineError::NotTrained)?;
+        if mode_for_tag(self.mode_tag(), self.dim()) != Some(self.mode()) {
+            return Err(PipelineError::NotPersistable);
+        }
         Ok(encode_model(
             self.mode_tag(),
             self.dim(),
@@ -243,6 +249,17 @@ fn decode_header(bytes: &[u8]) -> Result<(u8, usize, u64), PersistError> {
     Ok((bytes[4], dim, seed))
 }
 
+/// The feature mode a header's mode tag rebuilds at dimensionality
+/// `dim`: every mode at its defaults.
+fn mode_for_tag(mode_tag: u8, dim: usize) -> Option<HdFeatureMode> {
+    match mode_tag {
+        1 => Some(HdFeatureMode::hyper_hog(dim)),
+        2 => Some(HdFeatureMode::encoded_classic(dim)),
+        3 => Some(HdFeatureMode::encoded_classic_level_id(dim)),
+        _ => None,
+    }
+}
+
 /// Serialized length of an `HDM1` container holding `classes` vectors
 /// of dimensionality `dim` (header + back-to-back `HDV1` records).
 fn model_len(classes: usize, dim: usize) -> usize {
@@ -261,12 +278,7 @@ fn model_len(classes: usize, dim: usize) -> usize {
 /// [`PersistError::ChecksumMismatch`].
 pub fn load_bytes_with_integrity(bytes: &[u8]) -> Result<LoadedModel, PersistError> {
     let (mode_tag, dim, seed) = decode_header(bytes)?;
-    let mode = match mode_tag {
-        1 => HdFeatureMode::hyper_hog(dim),
-        2 => HdFeatureMode::encoded_classic(dim),
-        3 => HdFeatureMode::encoded_classic_level_id(dim),
-        other => return Err(PersistError::UnknownMode(other)),
-    };
+    let mode = mode_for_tag(mode_tag, dim).ok_or(PersistError::UnknownMode(mode_tag))?;
     let model = BinaryHdModel::from_bytes(&bytes[MODEL_OFFSET..])?;
     if model.dim() != dim {
         return Err(PersistError::DimMismatch {
@@ -354,7 +366,10 @@ pub fn corrupt_model_payload(bytes: &mut [u8], plan: &FaultPlan) -> Result<u64, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::EncoderChoice;
     use hdface_datasets::face2_spec;
+    use hdface_hdc::{HdcRng, SeedableRng};
+    use hdface_hog::{HogConfig, HyperHogConfig};
     use hdface_learn::TrainConfig;
 
     fn trained(mode: HdFeatureMode, seed: u64) -> (HdPipeline, hdface_datasets::Dataset) {
@@ -376,10 +391,19 @@ mod tests {
             let bytes = original.save_bytes().unwrap();
             let mut reloaded = HdPipeline::load_bytes(&bytes).unwrap();
 
-            // Deterministic encoders (encoded modes) must agree
-            // exactly; the stochastic mode agrees up to mask noise, so
-            // compare accuracy.
+            // The rebuilt extractor is the saved one: seeded features
+            // agree bit for bit.
             let (_, test) = ds.split(0.75);
+            for s in test.samples().iter().take(3) {
+                assert_eq!(
+                    reloaded.extract_seeded(&s.image, 7).unwrap(),
+                    original.extract_seeded(&s.image, 7).unwrap(),
+                    "mode seed {tag_seed}: features moved across the round trip"
+                );
+            }
+
+            // The reloaded classifier is the binary quantization of
+            // the trained one, so compare accuracy.
             let a = original.evaluate(&test).unwrap();
             let b = reloaded.evaluate(&test).unwrap();
             assert!(
@@ -387,6 +411,31 @@ mod tests {
                 "mode seed {tag_seed}: accuracies diverged {a} vs {b}"
             );
             assert!(b >= 0.55, "reloaded pipeline lost the model ({b})");
+        }
+    }
+
+    #[test]
+    fn extractors_the_header_cannot_rebuild_do_not_save() {
+        let mut rng = HdcRng::seed_from_u64(9);
+        let features: Vec<_> = (0..4)
+            .map(|i| (BitVector::random(2048, &mut rng), i % 2))
+            .collect();
+        let noisy =
+            HdFeatureMode::HyperHog(HyperHogConfig::with_dim(2048).with_bit_error_rate(0.02));
+        let coarse = HdFeatureMode::EncodedClassicHog {
+            hog: HogConfig::paper(),
+            dim: 2048,
+            levels: 16,
+            encoder: EncoderChoice::LevelId,
+        };
+        for mode in [noisy, coarse] {
+            let mut p = HdPipeline::new(mode.clone(), 5);
+            p.train_on_features(&features, 2, &TrainConfig::default())
+                .unwrap();
+            assert!(
+                matches!(p.save_bytes(), Err(PipelineError::NotPersistable)),
+                "{mode:?} saved"
+            );
         }
     }
 

@@ -42,6 +42,10 @@ pub enum PipelineError {
     Baseline(BaselineError),
     /// The pipeline was asked to predict/evaluate before training.
     NotTrained,
+    /// The pipeline's extractor differs from the one an `HDP1` file
+    /// rebuilds from its mode tag and dimensionality, so a saved copy
+    /// would reload as a different extractor.
+    NotPersistable,
 }
 
 impl fmt::Display for PipelineError {
@@ -51,6 +55,10 @@ impl fmt::Display for PipelineError {
             PipelineError::Learn(e) => write!(f, "hdc learning failed: {e}"),
             PipelineError::Baseline(e) => write!(f, "baseline failed: {e}"),
             PipelineError::NotTrained => write!(f, "pipeline has not been trained yet"),
+            PipelineError::NotPersistable => write!(
+                f,
+                "extractor configuration differs from the defaults an HDP1 file rebuilds"
+            ),
         }
     }
 }
@@ -61,7 +69,7 @@ impl Error for PipelineError {
             PipelineError::Feature(e) => Some(e),
             PipelineError::Learn(e) => Some(e),
             PipelineError::Baseline(e) => Some(e),
-            PipelineError::NotTrained => None,
+            PipelineError::NotTrained | PipelineError::NotPersistable => None,
         }
     }
 }
@@ -85,7 +93,7 @@ impl From<BaselineError> for PipelineError {
 }
 
 /// How an [`HdPipeline`] turns images into hypervectors.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum HdFeatureMode {
     /// The paper's contribution: HOG computed entirely in hyperspace.
     HyperHog(
@@ -227,6 +235,26 @@ impl HdPipeline {
     #[must_use]
     pub fn seed(&self) -> u64 {
         self.seed
+    }
+
+    /// The feature mode the pipeline was built from.
+    #[must_use]
+    pub(crate) fn mode(&self) -> HdFeatureMode {
+        match &self.extractor {
+            HdExtractor::Hyper(h) => HdFeatureMode::HyperHog(*h.config()),
+            HdExtractor::Encoded {
+                hog,
+                dim,
+                levels,
+                choice,
+                ..
+            } => HdFeatureMode::EncodedClassicHog {
+                hog: *hog.config(),
+                dim: *dim,
+                levels: *levels,
+                encoder: *choice,
+            },
+        }
     }
 
     /// Byte tag of the feature mode (`HDP1` header field).
@@ -941,5 +969,8 @@ mod tests {
         assert!(e.source().is_none());
         let e2: PipelineError = LearnError::NoClasses.into();
         assert!(e2.source().is_some());
+        let e3 = PipelineError::NotPersistable;
+        assert!(e3.to_string().contains("HDP1"));
+        assert!(e3.source().is_none());
     }
 }
