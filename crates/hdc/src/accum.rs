@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::bitvec::BitVector;
-use crate::error::{DimensionMismatchError, HdcError};
+use crate::error::DimensionMismatchError;
 use crate::HdcRng;
 
 /// A per-dimension signed integer accumulator.
@@ -16,10 +16,10 @@ use crate::HdcRng;
 /// [`BitVector`] for the binary deployment model.
 ///
 /// This scalar accumulator is the *reference implementation* and the
-/// general (fractionally weighted) tool; the unweighted ±1 bundling
-/// on the detector's window-encoding hot path runs on the word-level
-/// [`BitSlicedBundler`](crate::BitSlicedBundler), which is verified
-/// bit-identical against this type.
+/// only fractionally weighted tool; every unweighted ±1 bundle (the
+/// detector's window encoding, the id×level encoder) runs on the
+/// word-level [`BitSlicedBundler`](crate::BitSlicedBundler), which is
+/// verified bit-identical against this type.
 ///
 /// [`hdface-learn`]: https://example.invalid/hdface
 ///
@@ -76,13 +76,6 @@ impl Accumulator {
         self.values[index]
     }
 
-    /// Read-only view of all accumulated components.
-    #[inline]
-    #[must_use]
-    pub fn components(&self) -> &[f64] {
-        &self.values
-    }
-
     /// Adds a hypervector's bipolar values with weight `+1`.
     ///
     /// # Errors
@@ -90,15 +83,6 @@ impl Accumulator {
     /// Returns [`DimensionMismatchError`] if dimensionalities differ.
     pub fn add(&mut self, v: &BitVector) -> Result<(), DimensionMismatchError> {
         self.add_weighted(v, 1.0)
-    }
-
-    /// Subtracts a hypervector's bipolar values (weight `−1`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DimensionMismatchError`] if dimensionalities differ.
-    pub fn sub(&mut self, v: &BitVector) -> Result<(), DimensionMismatchError> {
-        self.add_weighted(v, -1.0)
     }
 
     /// Adds `weight · v` componentwise (bipolar view of `v`).
@@ -133,70 +117,6 @@ impl Accumulator {
             }
         }
         self.count += 1;
-        Ok(())
-    }
-
-    /// Merges another accumulator into this one componentwise.
-    ///
-    /// `count` becomes the sum of both counts, preserving the "number
-    /// of `add`-style calls" meaning: the merged accumulator behaves
-    /// as if every constituent vector had been added here directly,
-    /// so [`threshold`](Self::threshold) keeps its exact-majority
-    /// cutoff over the combined population.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if dimensionalities
-    /// differ, and [`HdcError::NonFinite`] if `other` carries a
-    /// non-finite component — adding `±inf` values can produce `NaN`
-    /// components (`inf + -inf`), which would silently corrupt every
-    /// later majority cutoff (`NaN > 0.0` and `NaN < 0.0` are both
-    /// false, so poisoned dimensions masquerade as deterministic
-    /// zeros without consuming tie-break randomness).
-    pub fn merge(&mut self, other: &Accumulator) -> Result<(), HdcError> {
-        if other.dim() != self.dim() {
-            return Err(HdcError::DimensionMismatch(DimensionMismatchError {
-                left: self.dim(),
-                right: other.dim(),
-            }));
-        }
-        if let Some(&bad) = other.values.iter().find(|v| !v.is_finite()) {
-            return Err(HdcError::NonFinite(bad));
-        }
-        for (a, b) in self.values.iter_mut().zip(&other.values) {
-            *a += *b;
-        }
-        self.count += other.count;
-        Ok(())
-    }
-
-    /// Scales every component by `factor` (used for decay/regularized
-    /// training schedules).
-    ///
-    /// `count` is intentionally left unchanged: it keeps counting
-    /// `add`-style calls, **not** total accumulated weight, so after a
-    /// `scale` the two diverge. [`threshold`](Self::threshold) is
-    /// unaffected — its cutoff is the sign at exactly zero, and
-    /// `0 · factor == 0` for every finite factor — but any caller
-    /// deriving a majority cutoff from `count` (e.g. `count / 2`
-    /// against raw components) must apply the same factor to that
-    /// cutoff. Note a *negative* factor flips every component's sign
-    /// and therefore inverts the subsequent threshold.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::NonFinite`] for NaN or infinite factors:
-    /// `0 · NaN` and `0 · inf` are `NaN`, which would silently turn
-    /// tie dimensions into deterministic zeros in later
-    /// [`threshold`](Self::threshold) calls (skewing both the bundle
-    /// and the mask-RNG consumption).
-    pub fn scale(&mut self, factor: f64) -> Result<(), HdcError> {
-        if !factor.is_finite() {
-            return Err(HdcError::NonFinite(factor));
-        }
-        for v in &mut self.values {
-            *v *= factor;
-        }
         Ok(())
     }
 
@@ -269,26 +189,6 @@ impl Accumulator {
     pub fn norm(&self) -> f64 {
         self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
-
-    /// Bundles an iterator of hypervectors into a majority vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::EmptyInput`] when the iterator is empty and
-    /// [`HdcError::DimensionMismatch`] when inputs disagree in size.
-    pub fn bundle<'a, I>(vectors: I, rng: &mut HdcRng) -> Result<BitVector, HdcError>
-    where
-        I: IntoIterator<Item = &'a BitVector>,
-    {
-        let mut iter = vectors.into_iter();
-        let first = iter.next().ok_or(HdcError::EmptyInput)?;
-        let mut acc = Accumulator::new(first.dim());
-        acc.add(first)?;
-        for v in iter {
-            acc.add(v)?;
-        }
-        Ok(acc.threshold(rng))
-    }
 }
 
 impl fmt::Debug for Accumulator {
@@ -309,17 +209,6 @@ mod tests {
     use crate::SeedableRng;
 
     #[test]
-    fn add_sub_roundtrip_is_zero() {
-        let mut rng = HdcRng::seed_from_u64(1);
-        let v = BitVector::random(100, &mut rng);
-        let mut acc = Accumulator::new(100);
-        acc.add(&v).unwrap();
-        acc.sub(&v).unwrap();
-        assert!(acc.components().iter().all(|&c| c == 0.0));
-        assert_eq!(acc.count(), 2);
-    }
-
-    #[test]
     fn threshold_recovers_single_vector() {
         let mut rng = HdcRng::seed_from_u64(2);
         let v = BitVector::random(512, &mut rng);
@@ -327,40 +216,6 @@ mod tests {
         acc.add(&v).unwrap();
         assert_eq!(acc.threshold(&mut rng), v);
         assert_eq!(acc.threshold_deterministic(), v);
-    }
-
-    #[test]
-    fn bundle_majority_preserves_similarity_to_members() {
-        let mut rng = HdcRng::seed_from_u64(3);
-        let vs: Vec<BitVector> = (0..5).map(|_| BitVector::random(8192, &mut rng)).collect();
-        let m = Accumulator::bundle(vs.iter(), &mut rng).unwrap();
-        for v in &vs {
-            // Each member of a 5-way majority has expected similarity
-            // ≈ 0.375 to the bundle; far above chance.
-            assert!(m.similarity(v).unwrap() > 0.2);
-        }
-        let outsider = BitVector::random(8192, &mut rng);
-        assert!(m.similarity(&outsider).unwrap().abs() < 0.05);
-    }
-
-    #[test]
-    fn bundle_empty_errors() {
-        let mut rng = HdcRng::seed_from_u64(4);
-        let vs: Vec<BitVector> = Vec::new();
-        assert!(matches!(
-            Accumulator::bundle(vs.iter(), &mut rng),
-            Err(HdcError::EmptyInput)
-        ));
-    }
-
-    #[test]
-    fn bundle_dim_mismatch_errors() {
-        let mut rng = HdcRng::seed_from_u64(5);
-        let vs = [BitVector::zeros(8), BitVector::zeros(9)];
-        assert!(matches!(
-            Accumulator::bundle(vs.iter(), &mut rng),
-            Err(HdcError::DimensionMismatch(_))
-        ));
     }
 
     #[test]
@@ -390,68 +245,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_componentwise() {
-        let v = BitVector::from_bools(&[true, true]);
-        let mut a = Accumulator::new(2);
-        let mut b = Accumulator::new(2);
-        a.add(&v).unwrap();
-        b.add(&v).unwrap();
-        a.merge(&b).unwrap();
-        assert_eq!(a.component(0), 2.0);
-        assert_eq!(a.count(), 2);
-    }
-
-    #[test]
-    fn scale_applies_factor() {
-        let v = BitVector::from_bools(&[true]);
-        let mut a = Accumulator::new(1);
-        a.add(&v).unwrap();
-        a.scale(0.5).unwrap();
-        assert_eq!(a.component(0), 0.5);
-        // count still tracks add-calls, not accumulated weight.
-        assert_eq!(a.count(), 1);
-    }
-
-    #[test]
-    fn scale_rejects_non_finite_factors() {
-        let v = BitVector::from_bools(&[true, false]);
-        let mut a = Accumulator::new(2);
-        a.add(&v).unwrap();
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert!(matches!(a.scale(bad), Err(HdcError::NonFinite(_))));
-        }
-        // The accumulator is untouched by a rejected scale.
-        assert_eq!(a.component(0), 1.0);
-        // Zero and negative factors are legal (negative flips signs).
-        a.scale(-1.0).unwrap();
-        assert_eq!(a.component(0), -1.0);
-        assert!(!a.threshold_deterministic().get(0));
-    }
-
-    #[test]
-    fn merge_rejects_non_finite_components() {
-        let v = BitVector::from_bools(&[true, true]);
-        let mut a = Accumulator::new(2);
-        a.add(&v).unwrap();
-        let mut poisoned = Accumulator::new(2);
-        poisoned.add_weighted(&v, f64::INFINITY).unwrap();
-        assert!(matches!(
-            a.merge(&poisoned),
-            Err(HdcError::NonFinite(f)) if f == f64::INFINITY
-        ));
-        // The rejected merge left the target untouched.
-        assert_eq!(a.component(0), 1.0);
-        assert_eq!(a.count(), 1);
-    }
-
-    #[test]
     fn dim_mismatch_paths_error() {
         let mut a = Accumulator::new(4);
         let v = BitVector::zeros(5);
         assert!(a.add(&v).is_err());
         assert!(a.cosine(&v).is_err());
-        let b = Accumulator::new(5);
-        assert!(a.merge(&b).is_err());
     }
 
     #[test]

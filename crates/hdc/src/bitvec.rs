@@ -1079,7 +1079,7 @@ mod tests {
     }
 
     #[test]
-    fn bit_error_rate_matches_probability() {
+    fn with_bit_errors_flips_at_the_requested_rate() {
         let mut rng = HdcRng::seed_from_u64(8);
         let v = BitVector::random(50_000, &mut rng);
         let noisy = v.with_bit_errors(0.1, &mut rng).unwrap();

@@ -42,19 +42,8 @@ pub enum HdcError {
     /// A dimensionality of zero was requested where at least one
     /// component is required.
     EmptyDimension,
-    /// An empty collection was passed where at least one element is
-    /// required (e.g. majority bundling of zero vectors).
-    EmptyInput,
     /// A probability parameter fell outside `[0, 1]`.
     InvalidProbability(f64),
-    /// A scale factor or merge operand that would introduce non-finite
-    /// accumulator components was rejected. NaN components silently
-    /// corrupt later [`Accumulator::threshold`] majority cutoffs
-    /// (`NaN > 0.0` is false, so every poisoned dimension collapses to
-    /// a tie-free `0`), so the poison is refused at the source.
-    ///
-    /// [`Accumulator::threshold`]: crate::Accumulator::threshold
-    NonFinite(f64),
     /// A pattern of more set bits than the vector has dimensions was
     /// requested.
     WeightOutOfRange {
@@ -70,15 +59,8 @@ impl fmt::Display for HdcError {
         match self {
             HdcError::DimensionMismatch(e) => e.fmt(f),
             HdcError::EmptyDimension => write!(f, "hypervector dimensionality must be non-zero"),
-            HdcError::EmptyInput => write!(f, "operation requires at least one input vector"),
             HdcError::InvalidProbability(p) => {
                 write!(f, "probability {p} is outside the closed interval [0, 1]")
-            }
-            HdcError::NonFinite(v) => {
-                write!(
-                    f,
-                    "non-finite value {v} would poison accumulator components"
-                )
             }
             HdcError::WeightOutOfRange { weight, dim } => {
                 write!(f, "weight {weight} exceeds the dimensionality {dim}")

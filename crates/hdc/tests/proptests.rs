@@ -144,11 +144,14 @@ proptest! {
     fn majority_is_order_invariant((a, b, c) in arb_triple(), seed in any::<u64>()) {
         // With an odd number of vectors there are no ties, so the
         // result is RNG-independent and permutation-invariant.
-        let mut r1 = HdcRng::seed_from_u64(seed);
-        let mut r2 = HdcRng::seed_from_u64(seed.wrapping_add(1));
-        let m1 = Accumulator::bundle([&a, &b, &c], &mut r1).unwrap();
-        let m2 = Accumulator::bundle([&c, &a, &b], &mut r2).unwrap();
-        prop_assert_eq!(m1, m2);
+        let majority = |vs: [&BitVector; 3], seed: u64| {
+            let mut acc = Accumulator::new(a.dim());
+            for v in vs {
+                acc.add(v).unwrap();
+            }
+            acc.threshold(&mut HdcRng::seed_from_u64(seed))
+        };
+        prop_assert_eq!(majority([&a, &b, &c], seed), majority([&c, &a, &b], seed.wrapping_add(1)));
     }
 
     #[test]

@@ -72,12 +72,6 @@ pub struct HyperHogConfig {
     /// Six halvings reach 1.6% resolution — at the decode noise floor
     /// of D = 4k — at 40% less cost than the generic default of 10.
     pub sqrt_iters: usize,
-    /// Random bit-error rate struck into the pixel encodings, each
-    /// pixel's magnitude (through its law on the read-out) and the
-    /// bundled feature. `0.0` disables injection. Only tests and the
-    /// `feature_hash` pins set it: Table 2 (`exp_table2`) corrupts the
-    /// stored features and class vectors instead.
-    pub bit_error_rate: f64,
 }
 
 impl HyperHogConfig {
@@ -88,15 +82,7 @@ impl HyperHogConfig {
             hog: HogConfig::paper(),
             dim,
             sqrt_iters: 6,
-            bit_error_rate: 0.0,
         }
-    }
-
-    /// Returns a copy with the given bit-error rate.
-    #[must_use]
-    pub fn with_bit_error_rate(mut self, rate: f64) -> Self {
-        self.bit_error_rate = rate;
-        self
     }
 }
 
@@ -149,9 +135,6 @@ mod tests {
         let h = HyperHogConfig::default();
         assert_eq!(h.dim, 4096);
         assert_eq!(h.sqrt_iters, 6);
-        assert_eq!(h.bit_error_rate, 0.0);
-        let noisy = h.with_bit_error_rate(0.02);
-        assert_eq!(noisy.bit_error_rate, 0.02);
         assert_eq!(HyperHogConfig::with_dim(1024).dim, 1024);
     }
 }

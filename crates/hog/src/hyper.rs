@@ -89,9 +89,9 @@ impl From<StochasticError> for HyperHogError {
     }
 }
 
-/// Per-worker mutable extraction state: the stochastic-mask and
-/// error-injection RNG streams, plus the reusable buffers the
-/// stochastic cell pass and the window bundler work in.
+/// Per-worker mutable extraction state: the stochastic-mask RNG
+/// stream, plus the reusable buffers the stochastic cell pass and the
+/// window bundler work in.
 ///
 /// Everything value-defining (basis, codebooks, slot keys) lives in
 /// the shared, read-only [`HyperHog`]; a `HogScratch` is the only
@@ -104,7 +104,6 @@ impl From<StochasticError> for HyperHogError {
 #[derive(Debug)]
 pub struct HogScratch {
     mask_rng: HdcRng,
-    noise_rng: HdcRng,
     /// Reusable bit-sliced bundling kernel: reset per window, so the
     /// steady-state bind-and-accumulate loop never allocates.
     bundler: BitSlicedBundler,
@@ -114,23 +113,22 @@ pub struct HogScratch {
 }
 
 impl HogScratch {
-    fn new(mask_rng: HdcRng, noise_rng: HdcRng) -> Self {
+    fn new(mask_rng: HdcRng) -> Self {
         HogScratch {
             mask_rng,
-            noise_rng,
             bundler: BitSlicedBundler::new(0),
             arena: None,
         }
     }
 
-    /// The mask stream, the noise stream and the cell arena sized for
-    /// `dim`, borrowed together.
-    fn split(&mut self, dim: usize) -> (&mut HdcRng, &mut HdcRng, &mut CellArena) {
+    /// The mask stream and the cell arena sized for `dim`, borrowed
+    /// together.
+    fn split(&mut self, dim: usize) -> (&mut HdcRng, &mut CellArena) {
         if self.arena.as_ref().is_none_or(|a| a.mask.dim() != dim) {
             self.arena = Some(CellArena::new(dim));
         }
         let arena = self.arena.as_mut().expect("sized above");
-        (&mut self.mask_rng, &mut self.noise_rng, arena)
+        (&mut self.mask_rng, arena)
     }
 }
 
@@ -140,7 +138,7 @@ impl HogScratch {
 /// the pass allocates nothing per pixel and reuse cannot change a bit.
 #[derive(Debug)]
 struct CellArena {
-    /// The selection or bit-error mask of the current draw.
+    /// The selection mask of the current draw.
     mask: BitVector,
     /// Halved central differences.
     gx: Shv,
@@ -215,15 +213,13 @@ pub struct HyperHog {
     /// Extractions that had to derive and install missing slot keys.
     key_cold: AtomicU64,
     key_seed: u64,
-    noise_rng: HdcRng,
 }
 
 /// Salt separating the position-pure per-pixel encoding streams of
 /// level-cache extraction from the per-cell streams.
 const PIXEL_STREAM_SALT: u64 = 0x85eb_ca6b_9f4a_7c15;
-/// Salts for the per-cell stochastic-mask / error-injection streams.
+/// Salt for the per-cell stochastic-mask streams.
 const CELL_MASK_SALT: u64 = 0x1656_67b1_9e37_79f9;
-const CELL_NOISE_SALT: u64 = 0x2545_f491_4f6c_dd1d;
 
 /// One cached (cell, bin) histogram slot of a pyramid level: its
 /// level code, ready for slot-key binding, plus the scalar read-out
@@ -373,7 +369,7 @@ fn build_level_codes(dim: usize, levels: usize, rng: &mut HdcRng) -> Vec<BitVect
 
 impl HyperHog {
     /// Creates an extractor; `seed` fixes the basis, every stochastic
-    /// mask, the slot keys and the error-injection stream.
+    /// mask and the slot keys.
     ///
     /// # Panics
     ///
@@ -423,7 +419,6 @@ impl HyperHog {
             key_warm: AtomicU64::new(0),
             key_cold: AtomicU64::new(0),
             key_seed,
-            noise_rng: HdcRng::seed_from_u64(seed ^ 0x6a09_e667_f3bc_c909),
         }
     }
 
@@ -461,39 +456,17 @@ impl HyperHog {
     }
 
     /// Builds per-worker scratch state for `stream`: the stochastic-mask
-    /// and error-injection RNG streams seeded from `stream`, so
-    /// workers sharing one extractor draw independent noise while
-    /// their features live in one space. The same `stream` gives the
+    /// RNG stream seeded from `stream`, so workers sharing one
+    /// extractor draw independent masks while their features live in
+    /// one space. The same `stream` gives the
     /// same feature whether or not the slot-key cache covers the image
     /// ([`prepare_for_image`](Self::prepare_for_image) warms it; an
     /// uncached key is derived on the fly to the same bits).
     #[must_use]
     pub fn scratch_for_stream(&self, stream: u64) -> HogScratch {
-        HogScratch::new(
-            HdcRng::seed_from_u64(stream.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5bf0_3635),
-            HdcRng::seed_from_u64(stream.wrapping_mul(0xc2b2_ae3d_27d4_eb4f) ^ 0x27d4),
-        )
-    }
-
-    /// Injects the configured bit-error rate into a hypervector
-    /// (identity when the rate is zero), drawing noise from the
-    /// scratch stream.
-    fn corrupt_with(&self, mut v: Shv, noise_rng: &mut HdcRng) -> Shv {
-        let mut mask = BitVector::zeros(v.dim());
-        self.corrupt_in_place(&mut v, noise_rng, &mut mask);
-        v
-    }
-
-    /// [`corrupt_with`](Self::corrupt_with) in place, drawing the error
-    /// mask into `mask`: the same draws as
-    /// [`BitVector::with_bit_errors`], no allocation.
-    fn corrupt_in_place(&self, v: &mut Shv, noise_rng: &mut HdcRng, mask: &mut BitVector) {
-        if self.config.bit_error_rate <= 0.0 {
-            return;
-        }
-        mask.fill_with_density(self.config.bit_error_rate, noise_rng)
-            .expect("rate validated by config");
-        v.as_bits_mut().xor_assign(mask).expect("dims equal");
+        HogScratch::new(HdcRng::seed_from_u64(
+            stream.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5bf0_3635,
+        ))
     }
 
     /// Encodes every pixel of the image as a stochastic hypervector
@@ -504,7 +477,7 @@ impl HyperHog {
         scratch: &mut HogScratch,
     ) -> Result<Vec<Shv>, StochasticError> {
         let dim = self.config.dim;
-        let (mask_rng, noise_rng, arena) = scratch.split(dim);
+        let (mask_rng, arena) = scratch.split(dim);
         let mut out = Vec::with_capacity(image.width() * image.height());
         for y in 0..image.height() {
             for x in 0..image.width() {
@@ -512,7 +485,6 @@ impl HyperHog {
                 let mut enc = Shv::zeros(dim);
                 self.ctx
                     .encode_into(v, mask_rng, &mut arena.mask, &mut enc)?;
-                self.corrupt_in_place(&mut enc, noise_rng, &mut arena.mask);
                 out.push(enc);
             }
         }
@@ -570,11 +542,10 @@ impl HyperHog {
     /// Every intermediate is written into the scratch's
     /// [`CellArena`], so no pixel allocates. What would only be decoded
     /// is never built: the gradients' squares, their halved sum, the
-    /// root's bisection, the root's bit errors and each tan
-    /// comparison's `α` are drawn from their exact laws. RNG draws
-    /// happen in a fixed order per pixel — gradients, halved sum of
-    /// squares, square root, bit errors, tan comparisons — which is all
-    /// that defines the output bits.
+    /// root's bisection and each tan comparison's `α` are drawn from
+    /// their exact laws. RNG draws happen in a fixed order per pixel —
+    /// gradients, halved sum of squares, square root, tan comparisons —
+    /// which is all that defines the output bits.
     ///
     /// Shared by the per-window path
     /// ([`extract_slots_with`](Self::extract_slots_with)) and the
@@ -595,7 +566,7 @@ impl HyperHog {
         let c = self.config.hog.cell_size;
         let iters = self.config.sqrt_iters;
         let n_bounds = self.boundaries.tangents().len();
-        let (mask_rng, noise_rng, a) = scratch.split(self.config.dim);
+        let (mask_rng, a) = scratch.split(self.config.dim);
         let ctx = &self.ctx;
         for py in 0..c {
             for px in 0..c {
@@ -608,11 +579,9 @@ impl HyperHog {
 
                 // Magnitude: √((Gx² + Gy²)/2), rooting a draw of the
                 // halved sum's decode. Only its read-out is used, so
-                // the root stays a distance from V₁ and bit errors
-                // strike it through their law.
+                // the root stays a distance from V₁.
                 let sum = ctx.decode_halved_square_sum_with(&a.gx, &a.gy, mask_rng)?;
                 let h = ctx.sqrt_distance_with(sum.halved_sum, iters, mask_rng);
-                let h = ctx.distance_after_bit_errors(h, self.config.bit_error_rate, noise_rng);
                 let magnitude = ctx.value_at_distance(h);
 
                 // Angle bin: quadrant + tan comparisons.
@@ -677,16 +646,15 @@ impl HyperHog {
         }
 
         let area = (c * c) as f64;
-        let (mask_rng, noise_rng, a) = scratch.split(self.config.dim);
+        let (mask_rng, a) = scratch.split(self.config.dim);
         let mut values = Vec::with_capacity(sums.len());
         for sum in sums {
             let value = (sum / area).clamp(0.0, 1.0);
             // Nothing reads the slot's stochastic encoding, but its
-            // draws advance the streams the bundle's tie-breaks and bit
-            // errors come from, so they stay.
+            // draws advance the stream the bundle's tie-breaks come
+            // from, so they stay.
             self.ctx
                 .encode_into(value, mask_rng, &mut a.mask, &mut a.gx)?;
-            self.corrupt_in_place(&mut a.gx, noise_rng, &mut a.mask);
             values.push(value);
         }
         Ok((values, cells_x, cells_y))
@@ -807,20 +775,19 @@ impl HyperHog {
         feats
     }
 
-    /// Moves the extractor-owned RNG streams out into a scratch so the
+    /// Moves the context's own mask stream out into a scratch so the
     /// legacy `&mut self` entry points can delegate to the shared-state
-    /// implementations while consuming the exact same streams.
+    /// implementations while consuming the exact same stream.
     fn take_own_scratch(&mut self) -> HogScratch {
-        HogScratch::new(
-            std::mem::replace(self.ctx.rng_mut(), HdcRng::seed_from_u64(0)),
-            std::mem::replace(&mut self.noise_rng, HdcRng::seed_from_u64(0)),
-        )
+        HogScratch::new(std::mem::replace(
+            self.ctx.rng_mut(),
+            HdcRng::seed_from_u64(0),
+        ))
     }
 
-    /// Puts the extractor-owned RNG streams back after delegation.
+    /// Puts the context's mask stream back after delegation.
     fn restore_own_scratch(&mut self, scratch: HogScratch) {
         *self.ctx.rng_mut() = scratch.mask_rng;
-        self.noise_rng = scratch.noise_rng;
     }
 
     /// Extracts the bundled feature hypervector: every slot value
@@ -833,7 +800,7 @@ impl HyperHog {
     /// than one cell.
     pub fn extract(&mut self, image: &GrayImage) -> Result<BitVector, HyperHogError> {
         // Grow the key cache up front (the shared-state path cannot),
-        // then delegate on the extractor's own RNG streams.
+        // then delegate on the extractor's own mask stream.
         self.prepare_for_image(image.width(), image.height());
         let mut scratch = self.take_own_scratch();
         let result = self.extract_with(image, &mut scratch);
@@ -881,9 +848,7 @@ impl HyperHog {
                 .expect("dims equal");
         }
         drop(keys);
-        let bundled = scratch.bundler.threshold(&mut scratch.mask_rng);
-        self.corrupt_with(Shv::from_bits(bundled), &mut scratch.noise_rng)
-            .into_bits()
+        scratch.bundler.threshold(&mut scratch.mask_rng)
     }
 
     /// The cell grid an image of the given size induces.
@@ -915,26 +880,16 @@ impl HyperHog {
             y as u64,
         ));
         let v = f64::from(image.get(x, y)).clamp(0.0, 1.0);
-        self.ctx.encode_into(v, &mut rng, mask, out)?;
-        // Error injection rides the same position-keyed stream.
-        self.corrupt_in_place(out, &mut rng, mask);
-        Ok(())
+        self.ctx.encode_into(v, &mut rng, mask, out)
     }
 
-    /// Per-cell scratch streams keyed by absolute cell coordinates.
+    /// Per-cell scratch stream keyed by absolute cell coordinates.
     fn scratch_for_cell(level_seed: u64, cx: usize, cy: usize) -> HogScratch {
-        HogScratch::new(
-            HdcRng::seed_from_u64(derive_coord_seed(
-                level_seed ^ CELL_MASK_SALT,
-                cx as u64,
-                cy as u64,
-            )),
-            HdcRng::seed_from_u64(derive_coord_seed(
-                level_seed ^ CELL_NOISE_SALT,
-                cx as u64,
-                cy as u64,
-            )),
-        )
+        HogScratch::new(HdcRng::seed_from_u64(derive_coord_seed(
+            level_seed ^ CELL_MASK_SALT,
+            cx as u64,
+            cy as u64,
+        )))
     }
 
     /// Computes the `bins` cached slots of cell `(cx, cy)` of `image`
@@ -984,7 +939,7 @@ impl HyperHog {
         let pw = c + 2;
         let mut patch = vec![Shv::zeros(dim); pw * pw];
         {
-            let (_, _, arena) = scratch.split(dim);
+            let (_, arena) = scratch.split(dim);
             for (i, pixel) in patch.iter_mut().enumerate() {
                 let xa = (x0 as isize + (i % pw) as isize - 1).clamp(0, w - 1) as usize;
                 let ya = (y0 as isize + (i / pw) as isize - 1).clamp(0, h - 1) as usize;
@@ -1114,10 +1069,7 @@ impl HyperHog {
             }
         }
         drop(keys);
-        let bundled = scratch.bundler.threshold(&mut scratch.mask_rng);
-        Ok(self
-            .corrupt_with(Shv::from_bits(bundled), &mut scratch.noise_rng)
-            .into_bits())
+        Ok(scratch.bundler.threshold(&mut scratch.mask_rng))
     }
 }
 
@@ -1125,12 +1077,11 @@ impl fmt::Debug for HyperHog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "HyperHog(D={}, cell={}, bins={}, sqrt_iters={}, ber={})",
+            "HyperHog(D={}, cell={}, bins={}, sqrt_iters={})",
             self.config.dim,
             self.config.hog.cell_size,
             self.config.hog.bins,
-            self.config.sqrt_iters,
-            self.config.bit_error_rate
+            self.config.sqrt_iters
         )
     }
 }
@@ -1245,33 +1196,6 @@ mod tests {
         let a = HyperHog::new(small_config(1024), 9).extract(&img).unwrap();
         let b = HyperHog::new(small_config(1024), 9).extract(&img).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn bit_errors_perturb_but_do_not_destroy() {
-        // Robustness is a property of the *decoded values*: 2% random
-        // bit errors on every intermediate hypervector shift slot
-        // values only at the noise-floor scale, so the quantized
-        // feature stays close to the clean one.
-        let img = GrayImage::from_fn(16, 16, |x, _| x as f32 / 15.0);
-        let clean_hist = HyperHog::new(small_config(4096), 10)
-            .extract_histogram(&img)
-            .unwrap();
-        let noisy_hist = HyperHog::new(small_config(4096).with_bit_error_rate(0.02), 10)
-            .extract_histogram(&img)
-            .unwrap();
-        let diff = clean_hist.mean_abs_diff(&noisy_hist);
-        assert!(diff < 0.06, "2% bit error moved histograms by {diff}");
-
-        let clean = HyperHog::new(small_config(4096), 10).extract(&img).unwrap();
-        let noisy = HyperHog::new(small_config(4096).with_bit_error_rate(0.02), 10)
-            .extract(&img)
-            .unwrap();
-        let sim = clean.similarity(&noisy).unwrap();
-        assert!(
-            sim > 0.4,
-            "2% bit error should keep quantized features similar, got {sim}"
-        );
     }
 
     #[test]
@@ -1499,36 +1423,25 @@ mod tests {
         /// Which draws the reference pass makes.
         #[derive(Debug, Clone, Copy)]
         pub(super) enum Path {
-            /// The production draws: decode laws, the count root, the
-            /// bit-error law on the read-out magnitude and the `α` sign
-            /// law.
+            /// The production draws: decode laws, the count root and
+            /// the `α` sign law.
             Laws,
             /// Every intermediate a hypervector.
             Vectors,
         }
 
-        /// A pixel's read-out magnitude `√((Gx² + Gy²)/2)` after bit
-        /// errors.
-        fn magnitude(
-            hog: &HyperHog,
-            path: Path,
-            gx: &Shv,
-            gy: &Shv,
-            mask_rng: &mut HdcRng,
-            noise_rng: &mut HdcRng,
-        ) -> f64 {
+        /// A pixel's read-out magnitude `√((Gx² + Gy²)/2)`.
+        fn magnitude(hog: &HyperHog, path: Path, gx: &Shv, gy: &Shv, mask_rng: &mut HdcRng) -> f64 {
             let ctx = &hog.ctx;
             match path {
                 Path::Laws => {
                     let sum = ctx.decode_halved_square_sum_with(gx, gy, mask_rng).unwrap();
                     let h = ctx.sqrt_distance_with(sum.halved_sum, hog.config.sqrt_iters, mask_rng);
-                    let h = ctx.distance_after_bit_errors(h, hog.config.bit_error_rate, noise_rng);
                     ctx.value_at_distance(h)
                 }
-                Path::Vectors => {
-                    let mag = magnitude_by_vectors(hog, gx, gy, mask_rng);
-                    ctx.decode(&corrupt(hog, mag, noise_rng)).unwrap()
-                }
+                Path::Vectors => ctx
+                    .decode(&magnitude_by_vectors(hog, gx, gy, mask_rng))
+                    .unwrap(),
             }
         }
 
@@ -1558,17 +1471,6 @@ mod tests {
                     .unwrap();
             }
             mid
-        }
-
-        fn corrupt(hog: &HyperHog, v: Shv, noise_rng: &mut HdcRng) -> Shv {
-            if hog.config.bit_error_rate <= 0.0 {
-                return v;
-            }
-            let noisy = v
-                .as_bits()
-                .with_bit_errors(hog.config.bit_error_rate, noise_rng)
-                .expect("rate validated by config");
-            Shv::from_bits(noisy)
         }
 
         #[allow(clippy::too_many_arguments)]
@@ -1614,7 +1516,6 @@ mod tests {
             }
         }
 
-        #[allow(clippy::too_many_arguments)]
         fn cell_pass<'p>(
             hog: &HyperHog,
             path: Path,
@@ -1623,7 +1524,6 @@ mod tests {
             y0: usize,
             sums: &mut [f64],
             mask_rng: &mut HdcRng,
-            noise_rng: &mut HdcRng,
         ) {
             let ctx = &hog.ctx;
             let c = hog.config.hog.cell_size;
@@ -1637,7 +1537,7 @@ mod tests {
                     let gy = ctx
                         .sub_halved_with(at(x, y + 1), at(x, y - 1), mask_rng)
                         .unwrap();
-                    let value = magnitude(hog, path, &gx, &gy, mask_rng, noise_rng);
+                    let value = magnitude(hog, path, &gx, &gy, mask_rng);
 
                     let gx_pos = ctx.is_non_negative(&gx).unwrap();
                     let gy_pos = ctx.is_non_negative(&gy).unwrap();
@@ -1672,8 +1572,7 @@ mod tests {
             for y in 0..h {
                 for x in 0..w {
                     let v = f64::from(image.get(x, y)).clamp(0.0, 1.0);
-                    let enc = ctx.encode_with(v, &mut scratch.mask_rng).unwrap();
-                    pixels.push(corrupt(hog, enc, &mut scratch.noise_rng));
+                    pixels.push(ctx.encode_with(v, &mut scratch.mask_rng).unwrap());
                 }
             }
             let at = |x: isize, y: isize| -> &Shv {
@@ -1693,7 +1592,6 @@ mod tests {
                         cy * c,
                         &mut sums[base..base + bins],
                         &mut scratch.mask_rng,
-                        &mut scratch.noise_rng,
                     );
                 }
             }
@@ -1701,10 +1599,8 @@ mod tests {
             let mut slots = Vec::new();
             for sum in sums {
                 let value = (sum / area).clamp(0.0, 1.0);
-                // Each slot's stochastic encoding: drawn, struck and
-                // never read.
-                let encoded = ctx.encode_with(value, &mut scratch.mask_rng).unwrap();
-                corrupt(hog, encoded, &mut scratch.noise_rng);
+                // Each slot's stochastic encoding: drawn and never read.
+                ctx.encode_with(value, &mut scratch.mask_rng).unwrap();
                 slots.push(value);
             }
             (slots, cells_x, cells_y)
@@ -1736,8 +1632,7 @@ mod tests {
                         ya as u64,
                     ));
                     let v = f64::from(image.get(xa, ya)).clamp(0.0, 1.0);
-                    let enc = ctx.encode_with(v, &mut rng).unwrap();
-                    patch.push(corrupt(hog, enc, &mut rng));
+                    patch.push(ctx.encode_with(v, &mut rng).unwrap());
                 }
             }
             let at = |x: isize, y: isize| -> &Shv {
@@ -1747,16 +1642,7 @@ mod tests {
             };
             let mut scratch = HyperHog::scratch_for_cell(level_seed, cx, cy);
             let mut sums = vec![0.0; bins];
-            cell_pass(
-                hog,
-                path,
-                &at,
-                x0,
-                y0,
-                &mut sums,
-                &mut scratch.mask_rng,
-                &mut scratch.noise_rng,
-            );
+            cell_pass(hog, path, &at, x0, y0, &mut sums, &mut scratch.mask_rng);
             let area = (c * c) as f64;
             sums.into_iter()
                 .map(|sum| {
@@ -1914,46 +1800,42 @@ mod tests {
             (0.5 + 0.45 * ((x as f32 * 0.9).sin() * (y as f32 * 0.6 + 0.3).cos())).clamp(0.0, 1.0)
         });
         for dim in [64usize, 1000, 4096, 8193] {
-            for ber in [0.0, 0.02] {
-                let case = format!("D={dim} ber={ber}");
-                let hog = HyperHog::new(small_config(dim).with_bit_error_rate(ber), 31);
-                let (cells_x, cells_y) = hog.cell_grid(img.width(), img.height());
-                assert_eq!((cells_x, cells_y), (3, 2));
-                for cy in 0..cells_y {
-                    for cx in 0..cells_x {
-                        let got = hog.compute_level_cell(&img, cx, cy, 5).unwrap();
-                        let want =
-                            reference::level_cell(&hog, reference::Path::Laws, &img, cx, cy, 5);
-                        assert_eq!(got.len(), want.len());
-                        for (g, w) in got.iter().zip(&want) {
-                            assert_eq!(g.bits(), w.bits(), "{case} cell ({cx},{cy})");
-                            assert_eq!(
-                                g.value().to_bits(),
-                                w.value().to_bits(),
-                                "{case} cell ({cx},{cy})"
-                            );
-                        }
+            let hog = HyperHog::new(small_config(dim), 31);
+            let (cells_x, cells_y) = hog.cell_grid(img.width(), img.height());
+            assert_eq!((cells_x, cells_y), (3, 2));
+            for cy in 0..cells_y {
+                for cx in 0..cells_x {
+                    let got = hog.compute_level_cell(&img, cx, cy, 5).unwrap();
+                    let want = reference::level_cell(&hog, reference::Path::Laws, &img, cx, cy, 5);
+                    assert_eq!(got.len(), want.len());
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_eq!(g.bits(), w.bits(), "D={dim} cell ({cx},{cy})");
+                        assert_eq!(
+                            g.value().to_bits(),
+                            w.value().to_bits(),
+                            "D={dim} cell ({cx},{cy})"
+                        );
                     }
                 }
-
-                let got = hog
-                    .extract_histogram_with(&img, &mut hog.scratch_for_stream(2))
-                    .unwrap();
-                let (slots, cx, cy) = reference::slots(&hog, &img, &mut hog.scratch_for_stream(2));
-                let want = hog.histogram_of(&slots, cx, cy);
-                let bits = |f: &HogFeatures| -> Vec<u64> {
-                    f.as_slice().iter().map(|v| v.to_bits()).collect()
-                };
-                assert_eq!(bits(&got), bits(&want), "{case} histogram");
-
-                let got = hog
-                    .extract_with(&img, &mut hog.scratch_for_stream(3))
-                    .unwrap();
-                let mut scratch = hog.scratch_for_stream(3);
-                let (slots, _, _) = reference::slots(&hog, &img, &mut scratch);
-                let want = hog.bundle_slots(&slots, &mut scratch);
-                assert_eq!(got, want, "{case} feature");
             }
+
+            let got = hog
+                .extract_histogram_with(&img, &mut hog.scratch_for_stream(2))
+                .unwrap();
+            let (slots, cx, cy) = reference::slots(&hog, &img, &mut hog.scratch_for_stream(2));
+            let want = hog.histogram_of(&slots, cx, cy);
+            let bits = |f: &HogFeatures| -> Vec<u64> {
+                f.as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "D={dim} histogram");
+
+            let got = hog
+                .extract_with(&img, &mut hog.scratch_for_stream(3))
+                .unwrap();
+            let mut scratch = hog.scratch_for_stream(3);
+            let (slots, _, _) = reference::slots(&hog, &img, &mut scratch);
+            let want = hog.bundle_slots(&slots, &mut scratch);
+            assert_eq!(got, want, "D={dim} feature");
         }
     }
 }

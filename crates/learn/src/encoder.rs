@@ -2,15 +2,15 @@
 //! paper's configuration (1): classic HOG in original space followed
 //! by a (non-linear) HDC encoder.
 
-use hdface_hdc::{Accumulator, BitVector, HdcRng, SeedableRng};
+use hdface_hdc::{BitSlicedBundler, BitVector, HdcRng, SeedableRng};
 
 use crate::error::LearnError;
 
 /// Common interface of the float-to-hypervector encoders.
 ///
 /// Encoders are immutable after construction, and the `Send + Sync`
-/// bound makes that contract explicit so a boxed encoder can be shared
-/// by reference across the scoped worker threads of the parallel
+/// bound makes that contract explicit so an encoder can be shared by
+/// reference across the scoped worker threads of the parallel
 /// extraction engine.
 pub trait FeatureEncoder: Send + Sync {
     /// Hypervector dimensionality produced.
@@ -116,15 +116,13 @@ impl FeatureEncoder for LevelIdEncoder {
                 actual: features.len(),
             });
         }
-        let mut acc = Accumulator::new(self.dim);
-        for (i, &v) in features.iter().enumerate() {
-            let level = &self.levels[self.level_of(v)];
-            let bound = self.ids[i].xor(level)?;
-            acc.add(&bound)?;
+        let mut bundler = BitSlicedBundler::new(self.dim);
+        for (id, &v) in self.ids.iter().zip(features) {
+            bundler.bind_accumulate(&self.levels[self.level_of(v)], id)?;
         }
         // Deterministic threshold keeps encoding a pure function of
         // the input, which inference caching relies on.
-        Ok(acc.threshold_deterministic())
+        Ok(bundler.threshold_deterministic())
     }
 }
 

@@ -735,19 +735,6 @@ impl StochasticContext {
         2 * (agree_for_sure + self.fair_law(self.dim - hab).draw(rng)) >= self.dim
     }
 
-    /// A draw of `h(v ⊕ e, V₁)` for a `v` at distance `h` from `V₁` and
-    /// a bit-error mask `e` drawn at `rate` (as
-    /// [`BitVector::with_bit_errors`] draws it): the flips turn
-    /// `Bin(D − h, β)` agreements into disagreements and `Bin(h, β)`
-    /// disagreements into agreements, with `β` the mask's realized
-    /// density. A zero rate draws nothing and returns `h`, which must
-    /// not exceed `D`.
-    #[must_use]
-    pub fn distance_after_bit_errors(&self, h: usize, rate: f64, rng: &mut HdcRng) -> usize {
-        let beta = BitVector::realized_density(rate);
-        h + binomial(self.dim - h, beta, rng) - binomial(h, beta, rng)
-    }
-
     /// The decode of a vector at Hamming distance `h` from `V₁`,
     /// bit for bit what [`decode`](Self::decode) returns for it.
     #[must_use]
@@ -1109,37 +1096,6 @@ mod tests {
                     .collect();
                 assert_same_law(&format!("D={dim} (({va})² + ({vb})²)/2"), &got, &want);
             }
-        }
-    }
-
-    #[test]
-    fn bit_error_law_follows_the_vector_path() {
-        for dim in LAW_DIMS {
-            let mut ctx = StochasticContext::new(dim, 46);
-            for v in [0.3, -0.6, 0.0] {
-                let x = ctx.encode(v).unwrap();
-                let basis = ctx.basis().as_bits();
-                let h = x.as_bits().hamming(basis).unwrap();
-                let mut rng = HdcRng::seed_from_u64(47);
-                let got: Vec<f64> = (0..LAW_DRAWS)
-                    .map(|_| ctx.distance_after_bit_errors(h, 0.02, &mut rng) as f64)
-                    .collect();
-                let want: Vec<f64> = (0..LAW_DRAWS)
-                    .map(|_| {
-                        let struck = x.as_bits().with_bit_errors(0.02, &mut rng).unwrap();
-                        struck.hamming(basis).unwrap() as f64
-                    })
-                    .collect();
-                assert_same_law(&format!("D={dim} {v} at ber 0.02"), &got, &want);
-            }
-            // No errors: the distance itself, and nothing drawn.
-            let mut rng = HdcRng::seed_from_u64(48);
-            let mut untouched = HdcRng::seed_from_u64(48);
-            assert_eq!(
-                ctx.distance_after_bit_errors(dim / 3, 0.0, &mut rng),
-                dim / 3
-            );
-            assert_eq!(rng.next_u64(), untouched.next_u64());
         }
     }
 

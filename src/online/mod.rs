@@ -16,8 +16,9 @@
 //!   float-accumulator copy of the class vectors. `POST /feedback`
 //!   enqueues labeled samples into a bounded queue; the trainer
 //!   applies the paper's update rule in deterministic arrival order,
-//!   periodically snapshots a candidate into the registry, and gates
-//!   promotion on a held-out shadow eval ("no worse than current").
+//!   periodically snapshots a candidate, skips one whose class words
+//!   equal the live model's, and gates the promotion of any other on
+//!   a held-out shadow eval ("no worse than current").
 //! * [`swap`] — atomic hot-swap: a promoted candidate is installed
 //!   into the live [`IntegrityGuard`] through the same
 //!   `Arc<ModelState>` exchange the scrubber uses (fresh replicas
@@ -31,6 +32,8 @@
 //!                                        │ every snapshot_every samples
 //!                                        ▼
 //!                               quantize candidate k
+//!                                        │ classes == live? → skip:
+//!                                        │ nothing published or swapped
 //!                                        │ gate: Hamming accuracy on
 //!                                        ▼       held-out shadow set
 //!                        ┌── candidate ≥ live ──┐

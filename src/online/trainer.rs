@@ -25,13 +25,16 @@
 //! # Promotion gate
 //!
 //! Every `snapshot_every` trained samples the shadow classifier is
-//! quantized into a candidate and evaluated against the current live
-//! model on the held-out shadow set. "No worse than current"
-//! (`candidate ≥ live`) promotes: the candidate is published to the
-//! registry and hot-swapped into the [`IntegrityGuard`]. Anything
-//! worse is published as `rejected` for forensics and the shadow
-//! accumulators reset to the live model, so poisoned feedback cannot
-//! leak into the next window.
+//! quantized into a candidate. A candidate whose class words equal the
+//! live model's is no new version: it is neither published nor
+//! counted, nothing is swapped, and training goes on from the same
+//! shadow accumulators. Any other candidate is evaluated against the
+//! current live model on the held-out shadow set. "No worse than
+//! current" (`candidate ≥ live`) promotes: the candidate is published
+//! to the registry and hot-swapped into the [`IntegrityGuard`].
+//! Anything worse is published as `rejected` for forensics and the
+//! shadow accumulators reset to the live model, so poisoned feedback
+//! cannot leak into the next window.
 //!
 //! [`IntegrityGuard`]: crate::integrity::IntegrityGuard
 
@@ -268,6 +271,9 @@ pub fn run(detector: &FaceDetector, state: &OnlineState) {
         // Quantize candidate k with its own fixed tie-break RNG.
         let mut rng = HdcRng::seed_from_u64(derive_seed(snapshot_base, candidate_index));
         let candidate = shadow.to_binary(&mut rng);
+        if candidate.classes() == live.classes() {
+            continue;
+        }
         let cand_acc = candidate.accuracy(&eval).expect("dims match");
         let promote = cand_acc >= live_acc;
 

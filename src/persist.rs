@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! magic   "HDP1"        4 bytes
-//! mode    u8            1 = hyper-hog, 2 = encoded(projection), 3 = encoded(level-id)
+//! mode    u8            1 = hyper-hog, 2 = encoded(projection)
 //! dim     u32 LE
 //! seed    u64 LE
 //! model   HDM1 container (see hdface-learn)
@@ -127,17 +127,11 @@ impl HdPipeline {
     /// # Errors
     ///
     /// Returns [`PipelineError::NotTrained`] when no classifier has
-    /// been fit yet, and [`PipelineError::NotPersistable`] when the
-    /// extractor is not the one [`load_bytes`](Self::load_bytes)
-    /// rebuilds from the header: the file records only the mode tag,
-    /// the dimensionality and the seed.
+    /// been fit yet.
     pub fn save_bytes(&self) -> Result<Vec<u8>, PipelineError> {
         // The binary model is derived deterministically (seed-fixed
         // tie-break RNG) — see `HdPipeline::quantized_model`.
         let model = self.quantized_model().ok_or(PipelineError::NotTrained)?;
-        if mode_for_tag(self.mode_tag(), self.dim()) != Some(self.mode()) {
-            return Err(PipelineError::NotPersistable);
-        }
         Ok(encode_model(
             self.mode_tag(),
             self.dim(),
@@ -249,13 +243,11 @@ fn decode_header(bytes: &[u8]) -> Result<(u8, usize, u64), PersistError> {
     Ok((bytes[4], dim, seed))
 }
 
-/// The feature mode a header's mode tag rebuilds at dimensionality
-/// `dim`: every mode at its defaults.
+/// The feature mode a header's mode tag names at dimensionality `dim`.
 fn mode_for_tag(mode_tag: u8, dim: usize) -> Option<HdFeatureMode> {
     match mode_tag {
         1 => Some(HdFeatureMode::hyper_hog(dim)),
         2 => Some(HdFeatureMode::encoded_classic(dim)),
-        3 => Some(HdFeatureMode::encoded_classic_level_id(dim)),
         _ => None,
     }
 }
@@ -366,10 +358,7 @@ pub fn corrupt_model_payload(bytes: &mut [u8], plan: &FaultPlan) -> Result<u64, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::EncoderChoice;
     use hdface_datasets::face2_spec;
-    use hdface_hdc::{HdcRng, SeedableRng};
-    use hdface_hog::{HogConfig, HyperHogConfig};
     use hdface_learn::TrainConfig;
 
     fn trained(mode: HdFeatureMode, seed: u64) -> (HdPipeline, hdface_datasets::Dataset) {
@@ -385,7 +374,6 @@ mod tests {
         for (mode, tag_seed) in [
             (HdFeatureMode::hyper_hog(2048), 41u64),
             (HdFeatureMode::encoded_classic(2048), 42),
-            (HdFeatureMode::encoded_classic_level_id(2048), 43),
         ] {
             let (mut original, ds) = trained(mode, tag_seed);
             let bytes = original.save_bytes().unwrap();
@@ -411,31 +399,6 @@ mod tests {
                 "mode seed {tag_seed}: accuracies diverged {a} vs {b}"
             );
             assert!(b >= 0.55, "reloaded pipeline lost the model ({b})");
-        }
-    }
-
-    #[test]
-    fn extractors_the_header_cannot_rebuild_do_not_save() {
-        let mut rng = HdcRng::seed_from_u64(9);
-        let features: Vec<_> = (0..4)
-            .map(|i| (BitVector::random(2048, &mut rng), i % 2))
-            .collect();
-        let noisy =
-            HdFeatureMode::HyperHog(HyperHogConfig::with_dim(2048).with_bit_error_rate(0.02));
-        let coarse = HdFeatureMode::EncodedClassicHog {
-            hog: HogConfig::paper(),
-            dim: 2048,
-            levels: 16,
-            encoder: EncoderChoice::LevelId,
-        };
-        for mode in [noisy, coarse] {
-            let mut p = HdPipeline::new(mode.clone(), 5);
-            p.train_on_features(&features, 2, &TrainConfig::default())
-                .unwrap();
-            assert!(
-                matches!(p.save_bytes(), Err(PipelineError::NotPersistable)),
-                "{mode:?} saved"
-            );
         }
     }
 

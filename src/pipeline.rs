@@ -11,8 +11,7 @@ use hdface_hdc::{BitVector, HdcRng, SeedableRng};
 use hdface_hog::{ClassicHog, HogConfig, HyperHog, HyperHogConfig, HyperHogError};
 use hdface_imaging::GrayImage;
 use hdface_learn::{
-    FeatureEncoder, HdClassifier, LearnError, LevelIdEncoder, ProjectionEncoder, TrainConfig,
-    TrainReport,
+    FeatureEncoder, HdClassifier, LearnError, ProjectionEncoder, TrainConfig, TrainReport,
 };
 
 use crate::engine::{derive_seed, Engine};
@@ -42,10 +41,6 @@ pub enum PipelineError {
     Baseline(BaselineError),
     /// The pipeline was asked to predict/evaluate before training.
     NotTrained,
-    /// The pipeline's extractor differs from the one an `HDP1` file
-    /// rebuilds from its mode tag and dimensionality, so a saved copy
-    /// would reload as a different extractor.
-    NotPersistable,
 }
 
 impl fmt::Display for PipelineError {
@@ -55,10 +50,6 @@ impl fmt::Display for PipelineError {
             PipelineError::Learn(e) => write!(f, "hdc learning failed: {e}"),
             PipelineError::Baseline(e) => write!(f, "baseline failed: {e}"),
             PipelineError::NotTrained => write!(f, "pipeline has not been trained yet"),
-            PipelineError::NotPersistable => write!(
-                f,
-                "extractor configuration differs from the defaults an HDP1 file rebuilds"
-            ),
         }
     }
 }
@@ -69,7 +60,7 @@ impl Error for PipelineError {
             PipelineError::Feature(e) => Some(e),
             PipelineError::Learn(e) => Some(e),
             PipelineError::Baseline(e) => Some(e),
-            PipelineError::NotTrained | PipelineError::NotPersistable => None,
+            PipelineError::NotTrained => None,
         }
     }
 }
@@ -92,77 +83,42 @@ impl From<BaselineError> for PipelineError {
     }
 }
 
-/// How an [`HdPipeline`] turns images into hypervectors.
-#[derive(Debug, Clone, PartialEq)]
+/// How an [`HdPipeline`] turns images into hypervectors: exactly what
+/// an `HDP1` header records besides the seed (its mode tag and `D`).
+/// Every other extractor parameter is the paper's.
+#[derive(Debug, Clone)]
 pub enum HdFeatureMode {
     /// The paper's contribution: HOG computed entirely in hyperspace.
-    HyperHog(
-        /// Extractor configuration.
-        HyperHogConfig,
-    ),
-    /// Configuration (1): classic float HOG followed by a non-linear
-    /// HDC encoder.
-    EncodedClassicHog {
-        /// HOG geometry.
-        hog: HogConfig,
+    HyperHog {
         /// Hypervector dimensionality.
         dim: usize,
-        /// Quantization levels (used by the level-id encoder).
-        levels: usize,
-        /// Which encoder maps float features to hyperspace.
-        encoder: EncoderChoice,
+    },
+    /// Configuration (1): classic float HOG followed by a
+    /// random-projection HDC encoder.
+    EncodedClassicHog {
+        /// Hypervector dimensionality.
+        dim: usize,
     },
 }
 
-/// The non-linear encoder used by
-/// [`HdFeatureMode::EncodedClassicHog`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EncoderChoice {
-    /// Random-projection sign encoding (denser information capture;
-    /// the default).
-    #[default]
-    Projection,
-    /// Record-based id×level binding with a correlative level
-    /// codebook.
-    LevelId,
-}
-
 impl HdFeatureMode {
-    /// Shorthand for the default HD-HOG mode at dimensionality `dim`.
+    /// The HD-HOG mode at dimensionality `dim`.
     #[must_use]
     pub fn hyper_hog(dim: usize) -> Self {
-        HdFeatureMode::HyperHog(HyperHogConfig::with_dim(dim))
+        HdFeatureMode::HyperHog { dim }
     }
 
-    /// Shorthand for the encoded-classic mode at dimensionality `dim`
-    /// (projection encoder).
+    /// The encoded-classic mode at dimensionality `dim`.
     #[must_use]
     pub fn encoded_classic(dim: usize) -> Self {
-        HdFeatureMode::EncodedClassicHog {
-            hog: HogConfig::paper(),
-            dim,
-            levels: 32,
-            encoder: EncoderChoice::Projection,
-        }
-    }
-
-    /// The encoded-classic mode with the id×level encoder.
-    #[must_use]
-    pub fn encoded_classic_level_id(dim: usize) -> Self {
-        HdFeatureMode::EncodedClassicHog {
-            hog: HogConfig::paper(),
-            dim,
-            levels: 32,
-            encoder: EncoderChoice::LevelId,
-        }
+        HdFeatureMode::EncodedClassicHog { dim }
     }
 
     /// Hypervector dimensionality this mode produces.
     #[must_use]
     pub fn dim(&self) -> usize {
-        match self {
-            HdFeatureMode::HyperHog(c) => c.dim,
-            HdFeatureMode::EncodedClassicHog { dim, .. } => *dim,
+        match *self {
+            HdFeatureMode::HyperHog { dim } | HdFeatureMode::EncodedClassicHog { dim } => dim,
         }
     }
 }
@@ -178,10 +134,8 @@ enum HdExtractor {
     Encoded {
         hog: ClassicHog,
         dim: usize,
-        levels: usize,
-        choice: EncoderChoice,
         seed: u64,
-        encoder: OnceLock<Box<dyn FeatureEncoder>>,
+        encoder: OnceLock<ProjectionEncoder>,
     },
 }
 
@@ -203,19 +157,12 @@ impl HdPipeline {
     pub fn new(mode: HdFeatureMode, seed: u64) -> Self {
         let dim = mode.dim();
         let extractor = match mode {
-            HdFeatureMode::HyperHog(config) => {
-                HdExtractor::Hyper(Box::new(HyperHog::new(config, seed)))
+            HdFeatureMode::HyperHog { dim } => {
+                HdExtractor::Hyper(Box::new(HyperHog::new(HyperHogConfig::with_dim(dim), seed)))
             }
-            HdFeatureMode::EncodedClassicHog {
-                hog,
+            HdFeatureMode::EncodedClassicHog { dim } => HdExtractor::Encoded {
+                hog: ClassicHog::new(HogConfig::paper()),
                 dim,
-                levels,
-                encoder,
-            } => HdExtractor::Encoded {
-                hog: ClassicHog::new(hog),
-                dim,
-                levels,
-                choice: encoder,
                 seed,
                 encoder: OnceLock::new(),
             },
@@ -237,35 +184,12 @@ impl HdPipeline {
         self.seed
     }
 
-    /// The feature mode the pipeline was built from.
-    #[must_use]
-    pub(crate) fn mode(&self) -> HdFeatureMode {
-        match &self.extractor {
-            HdExtractor::Hyper(h) => HdFeatureMode::HyperHog(*h.config()),
-            HdExtractor::Encoded {
-                hog,
-                dim,
-                levels,
-                choice,
-                ..
-            } => HdFeatureMode::EncodedClassicHog {
-                hog: *hog.config(),
-                dim: *dim,
-                levels: *levels,
-                encoder: *choice,
-            },
-        }
-    }
-
     /// Byte tag of the feature mode (`HDP1` header field).
     #[must_use]
     pub(crate) fn mode_tag(&self) -> u8 {
         match &self.extractor {
             HdExtractor::Hyper(_) => 1,
-            HdExtractor::Encoded { choice, .. } => match choice {
-                EncoderChoice::Projection => 2,
-                EncoderChoice::LevelId => 3,
-            },
+            HdExtractor::Encoded { .. } => 2,
         }
     }
 
@@ -353,30 +277,14 @@ impl HdPipeline {
             HdExtractor::Encoded {
                 hog,
                 dim,
-                levels,
-                choice,
                 seed,
                 encoder,
             } => {
                 // The same O(1) rescaling the float baselines use (the
                 // projection encoder's bias spread assumes it).
                 let features: Vec<f64> = hog.extract_vec(image).iter().map(|v| v * 8.0).collect();
-                let enc = encoder.get_or_init(|| match choice {
-                    EncoderChoice::Projection => {
-                        Box::new(ProjectionEncoder::new(features.len(), *dim, *seed))
-                            as Box<dyn FeatureEncoder>
-                    }
-                    EncoderChoice::LevelId => Box::new(LevelIdEncoder::new(
-                        features.len(),
-                        *dim,
-                        *levels,
-                        0.0,
-                        // Scaled histogram values concentrate in
-                        // [0, 0.8].
-                        0.8,
-                        *seed,
-                    )),
-                });
+                let enc =
+                    encoder.get_or_init(|| ProjectionEncoder::new(features.len(), *dim, *seed));
                 Ok(enc.encode(&features)?)
             }
         }
@@ -886,16 +794,6 @@ mod tests {
     }
 
     #[test]
-    fn level_id_encoded_pipeline_learns() {
-        let ds = tiny_dataset();
-        let (train, test) = ds.split(0.75);
-        let mut p = HdPipeline::new(HdFeatureMode::encoded_classic_level_id(4096), 8);
-        p.train(&train, &TrainConfig::default()).unwrap();
-        let acc = p.evaluate(&test).unwrap();
-        assert!(acc >= 0.6, "level-id pipeline accuracy {acc}");
-    }
-
-    #[test]
     fn parallel_and_serial_extraction_share_feature_space() {
         // Train via the (potentially parallel) dataset path, then
         // evaluate through serial per-image prediction: accuracy must
@@ -969,8 +867,5 @@ mod tests {
         assert!(e.source().is_none());
         let e2: PipelineError = LearnError::NoClasses.into();
         assert!(e2.source().is_some());
-        let e3 = PipelineError::NotPersistable;
-        assert!(e3.to_string().contains("HDP1"));
-        assert!(e3.source().is_none());
     }
 }

@@ -413,7 +413,9 @@ fn poisoned_feedback_is_rejected_and_live_model_untouched() {
 #[test]
 fn replay_is_deterministic_across_scan_thread_counts() {
     let feedback = shadow_feedback();
-    let mut manifests: Vec<Vec<(u64, u64, VersionStatus, u64)>> = Vec::new();
+    // (id, parent hash, hash, status, samples) per registry version.
+    type Row = (u64, u64, u64, VersionStatus, u64);
+    let mut manifests: Vec<Vec<Row>> = Vec::new();
     for threads in [1usize, 2, 8] {
         let dir = scratch_registry(&format!("replay{threads}"));
         let handle = start_online_server(&dir, 8, Engine::new(threads));
@@ -421,7 +423,7 @@ fn replay_is_deterministic_across_scan_thread_counts() {
         // Sequential posts fix the arrival order; shutdown drains the
         // feedback queue through the trainer before joining it, so
         // every snapshot lands in the registry.
-        for (pgm, label) in feedback.iter().take(16) {
+        for (pgm, label) in &feedback {
             post_feedback(addr, pgm, *label);
         }
         handle.shutdown();
@@ -430,16 +432,20 @@ fn replay_is_deterministic_across_scan_thread_counts() {
             registry
                 .list()
                 .iter()
-                .map(|r| (r.id, r.hash, r.status, r.samples))
+                .map(|r| (r.id, r.parent, r.hash, r.status, r.samples))
                 .collect(),
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
     assert!(
         manifests[0].len() >= 3,
-        "16 samples at snapshot_every=8 must yield v1 + 2 candidates: {:?}",
+        "24 samples at snapshot_every=8 must yield v1 + 2 changed candidates: {:?}",
         manifests[0]
     );
+    // A snapshot that reproduces its parent's classes is no version.
+    for &(id, parent, hash, _, _) in &manifests[0][1..] {
+        assert_ne!(hash, parent, "v{id} republished its parent's classes");
+    }
     assert_eq!(
         manifests[0], manifests[1],
         "registry diverged between 1 and 2 scan threads"

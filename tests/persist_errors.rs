@@ -50,16 +50,14 @@ fn wrong_magic_is_rejected() {
 #[test]
 fn unknown_mode_tag_is_typed() {
     let mut bytes = model_bytes().to_vec();
-    bytes[4] = 0;
-    assert!(matches!(
-        HdPipeline::load_bytes(&bytes),
-        Err(PersistError::UnknownMode(0))
-    ));
-    bytes[4] = 77;
-    assert!(matches!(
-        HdPipeline::load_bytes(&bytes),
-        Err(PersistError::UnknownMode(77))
-    ));
+    // Tag 3 named a level-id encoded mode that no longer exists.
+    for tag in [0, 3, 77] {
+        bytes[4] = tag;
+        match HdPipeline::load_bytes(&bytes) {
+            Err(PersistError::UnknownMode(t)) if t == tag => {}
+            other => panic!("tag {tag}: expected UnknownMode, got {other:?}"),
+        }
+    }
 }
 
 #[test]
@@ -282,7 +280,7 @@ struct Intact {
 /// file.
 fn arb_model_input() -> impl Strategy<Value = (Vec<u8>, Option<Intact>)> {
     (
-        (0usize..7, 1u8..=3, 0usize..6, 1usize..=3, any::<bool>()),
+        (0usize..7, 1u8..=2, 0usize..6, 1usize..=3, any::<bool>()),
         (any::<u64>(), any::<u8>(), 0usize..5, 0usize..6),
         prop::collection::vec(any::<u8>(), 0..96),
     )
