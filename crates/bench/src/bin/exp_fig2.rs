@@ -33,11 +33,13 @@ fn main() {
         "sigma=1/sqrt(D)",
     ]);
 
+    // Each row's errors, in column order, for the shape check.
+    let mut rows: Vec<Vec<f64>> = Vec::new();
     for &dim in dims {
-        let mut cells: Vec<String> = vec![dim.to_string()];
+        let mut errors = Vec::new();
         for op in OpKind::ALL {
             let stats = measure_errors(op, dim, grid, trials, cfg.seed).expect("dim > 0");
-            cells.push(format!("{:.5}", stats.mean_abs_error));
+            errors.push(stats.mean_abs_error);
         }
         // Supplementary: sqrt and divide over a value grid.
         let mut ctx = StochasticContext::new(dim, cfg.seed + 1);
@@ -60,16 +62,44 @@ fn main() {
                 n_div += 1;
             }
         }
-        cells.push(format!("{:.5}", e_sqrt / n_sqrt as f64));
-        cells.push(format!("{:.5}", e_div / n_div.max(1) as f64));
-        cells.push(format!("{:.5}", expected_sigma(dim, 0.0)));
+        errors.push(e_sqrt / n_sqrt as f64);
+        errors.push(e_div / n_div.max(1) as f64);
+        errors.push(expected_sigma(dim, 0.0));
+        let mut cells: Vec<String> = vec![dim.to_string()];
+        cells.extend(errors.iter().map(|e| format!("{e:.5}")));
         let refs: Vec<&dyn std::fmt::Display> =
             cells.iter().map(|c| c as &dyn std::fmt::Display).collect();
         table.row(&refs);
+        rows.push(errors);
     }
     table.print();
+
+    // The paper's shape: error falls as D grows. How far each column
+    // falls over the sweep, and whether it falls at every step.
+    let names = OpKind::ALL
+        .iter()
+        .map(|op| op.name())
+        .chain(["sqrt", "divide", "1/sqrt(D)"]);
+    let (first, last) = (&rows[0], &rows[rows.len() - 1]);
+    let shape: Vec<String> = names
+        .enumerate()
+        .map(|(c, name)| {
+            let every_step = rows.windows(2).all(|w| w[1][c] < w[0][c]);
+            let note = if every_step {
+                ""
+            } else {
+                " (not at every step)"
+            };
+            format!("{name} {:.1}x{note}", first[c] / last[c])
+        })
+        .collect();
     println!(
-        "\nshape check (paper): every column shrinks as D grows, tracking 1/sqrt(D).\n\
-         paper reference: errors become negligible by D = 4k-8k (Fig. 2a-c)."
+        "\nshape check (paper: error falls as D grows), at seed {} on a {grid}-value grid,\n\
+         fall from D = {} to {}: {}.\n\
+         paper reference: errors become negligible by D = 4k-8k (Fig. 2a-c).",
+        cfg.seed,
+        dims[0],
+        dims[dims.len() - 1],
+        shape.join(", "),
     );
 }

@@ -10,14 +10,14 @@
 //! ```
 //!
 //! Expected output with the workspace's `HdcRng` (xoshiro256++), the
-//! wide mask stream, the sampled magnitude decodes and the
-//! count-process square root, identical under `HDFACE_NO_SIMD=0` and
-//! `HDFACE_NO_SIMD=1`:
+//! wide mask stream, the pixel codebook, the sampled magnitude decodes
+//! and the count-process square root, identical under
+//! `HDFACE_NO_SIMD=0` and `HDFACE_NO_SIMD=1`:
 //!
 //! ```text
-//! dim 1024: window 347e9f22f5258f51 cached b04b251835c881a7
-//! dim 4096: window 3f1a43901f14b2a5 cached 065efa0d70d01d1e
-//! dim 8193: window 61f629b6071269d1 cached f43848d1d315d863
+//! dim 1024: window 9b341b47f2bd0368 cached 5ac4f80e372e8fe4
+//! dim 4096: window 877bb043deeb1a14 cached e19770203b600a94
+//! dim 8193: window 6ad3162e5e7d0dee cached 99cd73dd50d4c66f
 //! ```
 //!
 //! `scripts/check-pins.sh` diffs this program's output against the

@@ -2,11 +2,13 @@
 //!
 //! Every stage runs on stochastic binary hypervectors:
 //!
-//! 1. **Pixel encoding** — each normalized pixel `v ∈ [0, 1]` becomes
-//!    `V_v` by vector quantization between the basis (white) and an
-//!    orthogonal vector (black) — exactly the stochastic construction,
-//!    since `δ(V_0, V₁) = 0` makes the two extremes nearly orthogonal
-//!    as §3 of the paper describes.
+//! 1. **Pixel encoding** — each normalized pixel `v ∈ [0, 1]` reads
+//!    level `round(255·v)` of a correlative codebook, built once per
+//!    extractor by vector quantization between the basis (white) and
+//!    a vector orthogonal to it (black), as §3 of the paper describes:
+//!    level `i` is `V₁` with `round((1 − i/255)·D/2)` bits of one
+//!    fixed random order flipped, so `δ(V_v, V₁) = v` and equal pixels
+//!    share one vector.
 //! 2. **Gradient** — `V_Gx = 0.5·V_C(x+1,y) ⊕ 0.5·(−V_C(x−1,y))` and
 //!    likewise for `Gy` (halved central differences).
 //! 3. **Magnitude** — `V_(Gx²+Gy²)/2` by stochastic squaring and a
@@ -173,8 +175,8 @@ struct BoundaryCode {
 
 /// The hyperdimensional HOG extractor.
 ///
-/// Construction precomputes the boundary-tangent codebook, the slot
-/// level codebook and nothing else; per-image work happens in
+/// Construction precomputes the boundary-tangent codebook, the pixel
+/// and slot level codebooks and nothing else; per-image work happens in
 /// [`extract`](Self::extract) and needs `&mut self` because stochastic
 /// masks are drawn from the context RNG.
 ///
@@ -202,6 +204,10 @@ pub struct HyperHog {
     /// `[0, LEVEL_RANGE_MAX]` in `L = SLOT_LEVELS` levels:
     /// `δ(levelᵢ, levelⱼ) = 1 − |i−j|/(L−1)`.
     level_codes: Vec<BitVector>,
+    /// Correlative pixel codebook: level `i` of `PIXEL_LEVELS` encodes
+    /// the pixel value `i/255` as `V₁` with its first
+    /// `round((1 − i/255)·D/2)` positions of one random order flipped.
+    pixel_codes: Vec<Shv>,
     /// Slot binding keys, grown on demand behind a read-write lock so
     /// any shared-state extraction can warm the cache for everyone
     /// (each key derived independently from `key_seed` and its index,
@@ -215,9 +221,6 @@ pub struct HyperHog {
     key_seed: u64,
 }
 
-/// Salt separating the position-pure per-pixel encoding streams of
-/// level-cache extraction from the per-cell streams.
-const PIXEL_STREAM_SALT: u64 = 0x85eb_ca6b_9f4a_7c15;
 /// Salt for the per-cell stochastic-mask streams.
 const CELL_MASK_SALT: u64 = 0x1656_67b1_9e37_79f9;
 
@@ -339,27 +342,25 @@ impl LevelCellCache {
     }
 }
 
-/// Builds a correlative level codebook: a random low endpoint, a
-/// designated random half of the dimensions, and level `i` flips the
-/// first `i/(L−1)` fraction of that half — so similarity falls off
-/// linearly with level distance and equal values map to identical
-/// vectors.
-fn build_level_codes(dim: usize, levels: usize, rng: &mut HdcRng) -> Vec<BitVector> {
-    let lo = BitVector::random(dim, rng);
-    // Flip set: a fixed random half of the dimensions, in a fixed
-    // random order.
+/// Builds a correlative level codebook: level `k` is `start` with the
+/// first `flips[k]` positions of one fixed random order flipped, so
+/// the levels are nested (`h(levelⱼ, levelₖ) = |flipsⱼ − flipsₖ|`)
+/// and equal values map to identical vectors.
+fn build_level_codes(
+    start: &BitVector,
+    flips: impl Iterator<Item = usize>,
+    rng: &mut HdcRng,
+) -> Vec<BitVector> {
+    let dim = start.dim();
     let mut order: Vec<usize> = (0..dim).collect();
     for i in (1..dim).rev() {
         let j = rng.random_range(0..=i);
         order.swap(i, j);
     }
-    let flip_set = &order[..dim / 2];
-    (0..levels)
-        .map(|lvl| {
-            let frac = lvl as f64 / (levels - 1) as f64;
-            let n_flip = (frac * flip_set.len() as f64).round() as usize;
-            let mut v = lo.clone();
-            for &idx in &flip_set[..n_flip] {
+    flips
+        .map(|n| {
+            let mut v = start.clone();
+            for &idx in &order[..n] {
                 v.flip(idx);
             }
             v
@@ -404,9 +405,23 @@ impl HyperHog {
             .map(|&(r, _)| make_code(-1.0 / r))
             .collect();
 
+        // Slot levels flip a random half of the dimensions away from a
+        // random low endpoint; pixel levels flip up to half of them
+        // away from V₁ (white), on a second order.
         let key_seed = seed ^ 0x9e37_79b9_7f4a_7c15;
         let mut code_rng = HdcRng::seed_from_u64(key_seed);
-        let level_codes = build_level_codes(config.dim, Self::SLOT_LEVELS, &mut code_rng);
+        let lo = BitVector::random(config.dim, &mut code_rng);
+        let (slot_top, half) = ((Self::SLOT_LEVELS - 1) as f64, (config.dim / 2) as f64);
+        let slot_flips =
+            (0..Self::SLOT_LEVELS).map(|k| (k as f64 / slot_top * half).round() as usize);
+        let level_codes = build_level_codes(&lo, slot_flips, &mut code_rng);
+        let (pixel_top, half) = ((Self::PIXEL_LEVELS - 1) as f64, config.dim as f64 / 2.0);
+        let pixel_flips =
+            (0..Self::PIXEL_LEVELS).map(|i| ((1.0 - i as f64 / pixel_top) * half).round() as usize);
+        let pixel_codes = build_level_codes(ctx.basis().as_bits(), pixel_flips, &mut code_rng)
+            .into_iter()
+            .map(Shv::from_bits)
+            .collect();
 
         HyperHog {
             config,
@@ -415,6 +430,7 @@ impl HyperHog {
             even_codes,
             odd_codes,
             level_codes,
+            pixel_codes,
             slot_keys: RwLock::new(Vec::new()),
             key_warm: AtomicU64::new(0),
             key_cold: AtomicU64::new(0),
@@ -432,6 +448,20 @@ impl HyperHog {
     /// Levels of the correlative slot codebook spanning
     /// `[0, LEVEL_RANGE_MAX]`.
     const SLOT_LEVELS: usize = 32;
+
+    /// Levels of the correlative pixel codebook: one per 8-bit grey
+    /// value.
+    const PIXEL_LEVELS: usize = 256;
+
+    /// The codebook vector of the pixel at `(x, y)`, coordinates
+    /// clamped into the image: value `v ∈ [0, 1]` reads level
+    /// `round(255·v)`.
+    fn pixel_code(&self, image: &GrayImage, x: isize, y: isize) -> &Shv {
+        let x = x.clamp(0, image.width() as isize - 1) as usize;
+        let y = y.clamp(0, image.height() as isize - 1) as usize;
+        let v = f64::from(image.get(x, y)).clamp(0.0, 1.0);
+        &self.pixel_codes[(v * (Self::PIXEL_LEVELS - 1) as f64).round() as usize]
+    }
 
     /// Maps a slot scalar (the popcount read-out produced during
     /// accumulation) to its correlative level vector.
@@ -467,28 +497,6 @@ impl HyperHog {
         HogScratch::new(HdcRng::seed_from_u64(
             stream.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5bf0_3635,
         ))
-    }
-
-    /// Encodes every pixel of the image as a stochastic hypervector
-    /// (the "base hypervector generation" stage).
-    fn encode_pixels_with(
-        &self,
-        image: &GrayImage,
-        scratch: &mut HogScratch,
-    ) -> Result<Vec<Shv>, StochasticError> {
-        let dim = self.config.dim;
-        let (mask_rng, arena) = scratch.split(dim);
-        let mut out = Vec::with_capacity(image.width() * image.height());
-        for y in 0..image.height() {
-            for x in 0..image.width() {
-                let v = f64::from(image.get(x, y)).clamp(0.0, 1.0);
-                let mut enc = Shv::zeros(dim);
-                self.ctx
-                    .encode_into(v, mask_rng, &mut arena.mask, &mut enc)?;
-                out.push(enc);
-            }
-        }
-        Ok(out)
     }
 
     /// Decides `Gy/Gx > t` for one boundary code from the sign of the
@@ -534,10 +542,10 @@ impl HyperHog {
     }
 
     /// The per-pixel gradient → magnitude → angle-bin pipeline over
-    /// one cell whose top-left pixel is `(x0, y0)`, adding each pixel's
-    /// read-out magnitude to its bin of `sums` (a `bins`-long slice).
-    /// `at` resolves (possibly out-of-bounds) absolute pixel
-    /// coordinates to encoded pixel hypervectors.
+    /// one cell of `image` whose top-left pixel is `(x0, y0)`, adding
+    /// each pixel's read-out magnitude to its bin of `sums` (a
+    /// `bins`-long slice). Pixels are read from the pixel codebook,
+    /// clamped at the image border.
     ///
     /// Every intermediate is written into the scratch's
     /// [`CellArena`], so no pixel allocates. What would only be decoded
@@ -551,18 +559,16 @@ impl HyperHog {
     /// ([`extract_slots_with`](Self::extract_slots_with)) and the
     /// level-cache path
     /// ([`compute_level_cell`](Self::compute_level_cell)), which run
-    /// it over different pixel sources.
-    fn cell_pass<'p, F>(
+    /// it on different mask streams.
+    fn cell_pass(
         &self,
-        at: &F,
+        image: &GrayImage,
         x0: usize,
         y0: usize,
         sums: &mut [f64],
         scratch: &mut HogScratch,
-    ) -> Result<(), HyperHogError>
-    where
-        F: Fn(isize, isize) -> &'p Shv,
-    {
+    ) -> Result<(), HyperHogError> {
+        let at = |x: isize, y: isize| self.pixel_code(image, x, y);
         let c = self.config.hog.cell_size;
         let iters = self.config.sqrt_iters;
         let n_bounds = self.boundaries.tangents().len();
@@ -628,36 +634,22 @@ impl HyperHog {
             });
         }
         let bins = self.config.hog.bins;
-        let pixels = self.encode_pixels_with(image, scratch)?;
-        let w = image.width();
-        let h = image.height();
-        let at = |x: isize, y: isize| -> &Shv {
-            let cx = x.clamp(0, w as isize - 1) as usize;
-            let cy = y.clamp(0, h as isize - 1) as usize;
-            &pixels[cy * w + cx]
-        };
-
         let mut sums: Vec<f64> = vec![0.0; cells_x * cells_y * bins];
         for cy in 0..cells_y {
             for cx in 0..cells_x {
                 let base = (cy * cells_x + cx) * bins;
-                self.cell_pass(&at, cx * c, cy * c, &mut sums[base..base + bins], scratch)?;
+                self.cell_pass(image, cx * c, cy * c, &mut sums[base..base + bins], scratch)?;
             }
         }
-
-        let area = (c * c) as f64;
-        let (mask_rng, a) = scratch.split(self.config.dim);
-        let mut values = Vec::with_capacity(sums.len());
-        for sum in sums {
-            let value = (sum / area).clamp(0.0, 1.0);
-            // Nothing reads the slot's stochastic encoding, but its
-            // draws advance the stream the bundle's tie-breaks come
-            // from, so they stay.
-            self.ctx
-                .encode_into(value, mask_rng, &mut a.mask, &mut a.gx)?;
-            values.push(value);
-        }
+        let values = sums.into_iter().map(|sum| self.slot_value(sum)).collect();
         Ok((values, cells_x, cells_y))
+    }
+
+    /// A slot's value from its bin's magnitude sum: the sum over the
+    /// cell area, clamped into `[0, 1]`.
+    fn slot_value(&self, sum: f64) -> f64 {
+        let c = self.config.hog.cell_size;
+        (sum / (c * c) as f64).clamp(0.0, 1.0)
     }
 
     /// Number of histogram slots an image of the given size produces
@@ -860,29 +852,6 @@ impl HyperHog {
         )
     }
 
-    /// Encodes one pixel of a pyramid level into `out` with a
-    /// position-pure stream: the bits depend only on `(extractor, pixel
-    /// value, level_seed, x, y)`, so every cell that touches this pixel
-    /// — computed in any order, on any thread — sees the identical
-    /// hypervector. `mask` receives the draws.
-    fn encode_level_pixel_into(
-        &self,
-        image: &GrayImage,
-        x: usize,
-        y: usize,
-        level_seed: u64,
-        mask: &mut BitVector,
-        out: &mut Shv,
-    ) -> Result<(), StochasticError> {
-        let mut rng = HdcRng::seed_from_u64(derive_coord_seed(
-            level_seed ^ PIXEL_STREAM_SALT,
-            x as u64,
-            y as u64,
-        ));
-        let v = f64::from(image.get(x, y)).clamp(0.0, 1.0);
-        self.ctx.encode_into(v, &mut rng, mask, out)
-    }
-
     /// Per-cell scratch stream keyed by absolute cell coordinates.
     fn scratch_for_cell(level_seed: u64, cx: usize, cy: usize) -> HogScratch {
         HogScratch::new(HdcRng::seed_from_u64(derive_coord_seed(
@@ -895,13 +864,11 @@ impl HyperHog {
     /// Computes the `bins` cached slots of cell `(cx, cy)` of `image`
     /// (an already-normalized pyramid level).
     ///
-    /// All randomness comes from streams keyed by `(level_seed,
-    /// position)` — the result is a pure function of the extractor,
-    /// the image contents, the seed and the cell coordinates,
-    /// independent of visit order and thread count. Neighboring cells
-    /// re-encode the boundary pixels they share, but the position-pure
-    /// pixel streams make those re-encodings bit-identical, so the
-    /// cache is globally consistent.
+    /// All randomness comes from a stream keyed by `(level_seed, cx,
+    /// cy)` and pixels come from the extractor's codebook, so the
+    /// result is a pure function of the extractor, the image contents,
+    /// the seed and the cell coordinates, independent of visit order
+    /// and thread count.
     ///
     /// # Errors
     ///
@@ -923,47 +890,15 @@ impl HyperHog {
                 cell_size: c,
             });
         }
-        let bins = self.config.hog.bins;
-        let x0 = cx * c;
-        let y0 = cy * c;
-        let w = image.width() as isize;
-        let h = image.height() as isize;
-
-        // Encode the (c+2)² pixel patch the cell's central differences
-        // touch, through the cell arena's mask. Out-of-image accesses
-        // clamp to the border pixel and are encoded under *its*
-        // coordinates, matching what any other cell would produce for
-        // the same pixel.
         let mut scratch = Self::scratch_for_cell(level_seed, cx, cy);
-        let dim = self.config.dim;
-        let pw = c + 2;
-        let mut patch = vec![Shv::zeros(dim); pw * pw];
-        {
-            let (_, arena) = scratch.split(dim);
-            for (i, pixel) in patch.iter_mut().enumerate() {
-                let xa = (x0 as isize + (i % pw) as isize - 1).clamp(0, w - 1) as usize;
-                let ya = (y0 as isize + (i / pw) as isize - 1).clamp(0, h - 1) as usize;
-                self.encode_level_pixel_into(image, xa, ya, level_seed, &mut arena.mask, pixel)?;
-            }
-        }
-        let at = |x: isize, y: isize| -> &Shv {
-            let xa = x.clamp(0, w - 1);
-            let ya = y.clamp(0, h - 1);
-            let dx = (xa - (x0 as isize - 1)) as usize;
-            let dy = (ya - (y0 as isize - 1)) as usize;
-            &patch[dy * pw + dx]
-        };
-
-        let mut sums = vec![0.0; bins];
-        self.cell_pass(&at, x0, y0, &mut sums, &mut scratch)?;
-
+        let mut sums = vec![0.0; self.config.hog.bins];
+        self.cell_pass(image, cx * c, cy * c, &mut sums, &mut scratch)?;
         // Quantize each bin as the per-window path's bundle does, so
         // windows only bind and bundle.
-        let area = (c * c) as f64;
         Ok(sums
             .into_iter()
             .map(|sum| {
-                let value = (sum / area).clamp(0.0, 1.0);
+                let value = self.slot_value(sum);
                 CachedSlot {
                     bits: self.quantize_slot(value).clone(),
                     value,
@@ -1201,7 +1136,8 @@ mod tests {
     #[test]
     fn level_codebook_similarity_is_linear_in_distance() {
         let mut rng = HdcRng::seed_from_u64(3);
-        let codes = build_level_codes(8192, 9, &mut rng);
+        let lo = BitVector::random(8192, &mut rng);
+        let codes = build_level_codes(&lo, (0..9).map(|k| k * 512), &mut rng);
         assert_eq!(codes.len(), 9);
         for i in 0..9 {
             for j in 0..9 {
@@ -1212,6 +1148,68 @@ mod tests {
                     "levels {i},{j}: sim {got} want {want}"
                 );
             }
+        }
+    }
+
+    /// `round((1 − i/255)·D/2)`: how many bits pixel level `i` differs
+    /// from `V₁` in.
+    fn pixel_flips(dim: usize, i: usize) -> usize {
+        ((1.0 - i as f64 / 255.0) * (dim as f64 / 2.0)).round() as usize
+    }
+
+    #[test]
+    fn pixel_levels_are_nested_flips_of_the_basis() {
+        for dim in [64usize, 1000, 4096, 8193] {
+            let hog = HyperHog::new(small_config(dim), 41);
+            let basis = hog.ctx.basis().as_bits();
+            assert_eq!(hog.pixel_codes.len(), 256);
+            for (i, a) in hog.pixel_codes.iter().enumerate() {
+                let a = a.as_bits();
+                assert_eq!(
+                    a.hamming(basis).unwrap(),
+                    pixel_flips(dim, i),
+                    "D={dim} level {i}"
+                );
+                for (j, b) in hog.pixel_codes.iter().enumerate() {
+                    let want = pixel_flips(dim, i).abs_diff(pixel_flips(dim, j));
+                    assert_eq!(
+                        a.hamming(b.as_bits()).unwrap(),
+                        want,
+                        "D={dim} levels {i},{j}"
+                    );
+                }
+            }
+            // White is V₁ itself; black sits round(D/2) bits away.
+            let code_of = |v: f32| hog.pixel_code(&GrayImage::filled(1, 1, v), 0, 0).clone();
+            assert_eq!(code_of(1.0).as_bits(), basis, "D={dim}");
+            let black = code_of(0.0).as_bits().hamming(basis).unwrap();
+            assert_eq!(black, (dim as f64 / 2.0).round() as usize, "D={dim}");
+        }
+    }
+
+    #[test]
+    fn pixel_codebook_is_fixed_by_the_seed() {
+        // The bits each level flips away from its extractor's V₁.
+        let flipped = |seed: u64| -> Vec<BitVector> {
+            let hog = HyperHog::new(small_config(1000), seed);
+            let basis = hog.ctx.basis().as_bits();
+            let flips = hog
+                .pixel_codes
+                .iter()
+                .map(|c| c.as_bits().xor(basis).unwrap());
+            flips.collect()
+        };
+        let codes = |seed: u64| -> Vec<BitVector> {
+            let hog = HyperHog::new(small_config(1000), seed);
+            hog.pixel_codes
+                .iter()
+                .map(|c| c.as_bits().clone())
+                .collect()
+        };
+        assert_eq!(codes(8), codes(8));
+        let (a, b) = (flipped(8), flipped(9));
+        for level in [0, 128, 254] {
+            assert_ne!(a[level], b[level], "level {level} flips the same bits");
         }
     }
 
@@ -1516,16 +1514,17 @@ mod tests {
             }
         }
 
-        fn cell_pass<'p>(
+        fn cell_pass(
             hog: &HyperHog,
             path: Path,
-            at: &dyn Fn(isize, isize) -> &'p Shv,
+            image: &GrayImage,
             x0: usize,
             y0: usize,
             sums: &mut [f64],
             mask_rng: &mut HdcRng,
         ) {
             let ctx = &hog.ctx;
+            let at = |x: isize, y: isize| hog.pixel_code(image, x, y);
             let c = hog.config.hog.cell_size;
             for py in 0..c {
                 for px in 0..c {
@@ -1563,23 +1562,9 @@ mod tests {
             image: &GrayImage,
             scratch: &mut HogScratch,
         ) -> (Vec<f64>, usize, usize) {
-            let ctx = &hog.ctx;
             let c = hog.config.hog.cell_size;
             let bins = hog.config.hog.bins;
             let (cells_x, cells_y) = hog.cell_grid(image.width(), image.height());
-            let (w, h) = (image.width(), image.height());
-            let mut pixels = Vec::new();
-            for y in 0..h {
-                for x in 0..w {
-                    let v = f64::from(image.get(x, y)).clamp(0.0, 1.0);
-                    pixels.push(ctx.encode_with(v, &mut scratch.mask_rng).unwrap());
-                }
-            }
-            let at = |x: isize, y: isize| -> &Shv {
-                let cx = x.clamp(0, w as isize - 1) as usize;
-                let cy = y.clamp(0, h as isize - 1) as usize;
-                &pixels[cy * w + cx]
-            };
             let mut sums = vec![0.0; cells_x * cells_y * bins];
             for cy in 0..cells_y {
                 for cx in 0..cells_x {
@@ -1587,7 +1572,7 @@ mod tests {
                     cell_pass(
                         hog,
                         Path::Laws,
-                        &at,
+                        image,
                         cx * c,
                         cy * c,
                         &mut sums[base..base + bins],
@@ -1596,14 +1581,8 @@ mod tests {
                 }
             }
             let area = (c * c) as f64;
-            let mut slots = Vec::new();
-            for sum in sums {
-                let value = (sum / area).clamp(0.0, 1.0);
-                // Each slot's stochastic encoding: drawn and never read.
-                ctx.encode_with(value, &mut scratch.mask_rng).unwrap();
-                slots.push(value);
-            }
-            (slots, cells_x, cells_y)
+            let slots = sums.iter().map(|sum| (sum / area).clamp(0.0, 1.0));
+            (slots.collect(), cells_x, cells_y)
         }
 
         /// Cached slots of one level cell.
@@ -1615,34 +1594,18 @@ mod tests {
             cy: usize,
             level_seed: u64,
         ) -> Vec<CachedSlot> {
-            let ctx = &hog.ctx;
             let c = hog.config.hog.cell_size;
-            let bins = hog.config.hog.bins;
-            let (x0, y0) = (cx * c, cy * c);
-            let (w, h) = (image.width() as isize, image.height() as isize);
-            let pw = c + 2;
-            let mut patch = Vec::new();
-            for dy in 0..pw {
-                for dx in 0..pw {
-                    let xa = (x0 as isize + dx as isize - 1).clamp(0, w - 1) as usize;
-                    let ya = (y0 as isize + dy as isize - 1).clamp(0, h - 1) as usize;
-                    let mut rng = HdcRng::seed_from_u64(derive_coord_seed(
-                        level_seed ^ PIXEL_STREAM_SALT,
-                        xa as u64,
-                        ya as u64,
-                    ));
-                    let v = f64::from(image.get(xa, ya)).clamp(0.0, 1.0);
-                    patch.push(ctx.encode_with(v, &mut rng).unwrap());
-                }
-            }
-            let at = |x: isize, y: isize| -> &Shv {
-                let dx = (x.clamp(0, w - 1) - (x0 as isize - 1)) as usize;
-                let dy = (y.clamp(0, h - 1) - (y0 as isize - 1)) as usize;
-                &patch[dy * pw + dx]
-            };
             let mut scratch = HyperHog::scratch_for_cell(level_seed, cx, cy);
-            let mut sums = vec![0.0; bins];
-            cell_pass(hog, path, &at, x0, y0, &mut sums, &mut scratch.mask_rng);
+            let mut sums = vec![0.0; hog.config.hog.bins];
+            cell_pass(
+                hog,
+                path,
+                image,
+                cx * c,
+                cy * c,
+                &mut sums,
+                &mut scratch.mask_rng,
+            );
             let area = (c * c) as f64;
             sums.into_iter()
                 .map(|sum| {
@@ -1663,7 +1626,7 @@ mod tests {
             let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
             (mean, var)
         };
-        // One 4×4 cell of a high-contrast image, its patch clamped at
+        // One 4×4 cell of a high-contrast image, its pixels clamped at
         // every border; each level seed is an independent stream. The
         // read-out slot value is the cell's mean decoded magnitude per
         // bin, so it carries the magnitude's law undiluted.

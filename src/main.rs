@@ -14,7 +14,8 @@
 //! PGM in, PPM overlays out. `--threads` overrides the
 //! `HDFACE_THREADS` environment variable for the scan engine; results
 //! are bit-identical at any thread count. `train --dim` takes 1 to
-//! 65536 (2¹⁶). A flag the subcommand does not accept, or one given
+//! 65536 (2¹⁶), the cap every model load applies too. A flag the
+//! subcommand does not accept, or one given
 //! twice, is an error. `serve --registry-dir` switches on online
 //! adaptive learning (see `hdface::online`):
 //! `POST /feedback` samples feed a shadow trainer whose gated
@@ -36,7 +37,7 @@ use hdface::learn::TrainConfig;
 use hdface::loadgen::{self, LoadgenConfig};
 use hdface::noise::{FaultPlan, FaultTargets};
 use hdface::online::{ModelRegistry, OnlineConfig, PublishMeta, VersionRecord, VersionStatus};
-use hdface::persist::{corrupt_model_payload, load_bytes_with_integrity, model_hash};
+use hdface::persist::{corrupt_model_payload, load_bytes_with_integrity, model_hash, MAX_DIM};
 use hdface::pipeline::{HdFeatureMode, HdPipeline};
 use hdface::serve::{ServeConfig, Server};
 
@@ -205,12 +206,6 @@ fn engine_from_args(args: &Args) -> Result<Engine, String> {
 /// and reaches one only after exhausting the host.
 const MAX_THREADS: usize = 1024;
 
-/// The largest `--dim` `hdface train` accepts: 2¹⁶, well past the
-/// paper's 10k sweep and inside the HDP1 header's `u32`. Checked
-/// before anything is allocated, so a typo cannot abort the process
-/// on a failed allocation.
-const MAX_TRAIN_DIM: usize = 1 << 16;
-
 /// The largest `--samples` (`train`, `eval`) and `--shadow-samples`
 /// (`serve`) accept: 2²⁰ synthetic windows, which holds FACE2's
 /// nominal 522,441. Every window of the set is generated up front, so
@@ -226,10 +221,8 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     let engine = engine_from_args(args)?;
     let out = args.require("out")?;
     let dim: usize = args.get_or("dim", 4096)?;
-    if !(1..=MAX_TRAIN_DIM).contains(&dim) {
-        return Err(format!(
-            "--dim must be between 1 and {MAX_TRAIN_DIM}, got {dim}"
-        ));
+    if !(1..=MAX_DIM).contains(&dim) {
+        return Err(format!("--dim must be between 1 and {MAX_DIM}, got {dim}"));
     }
     let seed: u64 = args.get_or("seed", 7)?;
     let samples = args.positive_count_at_most("samples", 160, MAX_SAMPLES)?;

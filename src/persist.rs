@@ -8,7 +8,7 @@
 //! ```text
 //! magic   "HDP1"        4 bytes
 //! mode    u8            1 = hyper-hog, 2 = encoded(projection)
-//! dim     u32 LE
+//! dim     u32 LE        1 ..= MAX_DIM (2¹⁶)
 //! seed    u64 LE
 //! model   HDM1 container (see hdface-learn)
 //! ```
@@ -53,6 +53,14 @@ const INTEGRITY_MAGIC: &[u8; 4] = b"HDI1";
 /// Byte offset where the `HDM1` model container starts.
 const MODEL_OFFSET: usize = 17;
 
+/// The largest dimensionality a model may have: 2¹⁶, well past the
+/// paper's 10k sweep and inside the header's `u32`. `hdface train
+/// --dim` and every model load refuse a larger `D` before anything is
+/// allocated: a hyper-HOG extractor built at `D` holds ~36·`D` bytes of
+/// codebooks, so a forged header could otherwise abort the process on
+/// a failed allocation.
+pub const MAX_DIM: usize = 1 << 16;
+
 /// Site salt for the load-time model-byte fault arm (class `c` is
 /// struck at site `derive_seed(MODEL_BYTES_SALT, c)`).
 const MODEL_BYTES_SALT: u64 = 0x5afe_c0de_8b1e_55ed;
@@ -68,6 +76,8 @@ pub enum PersistError {
     /// The header declares a zero-dimensional model, which no feature
     /// mode can be built at.
     ZeroDim,
+    /// The header declares a dimensionality past [`MAX_DIM`].
+    DimTooLarge(usize),
     /// The embedded model failed to decode.
     Model(ModelIoError),
     /// The embedded model's dimensionality disagrees with the header.
@@ -94,6 +104,9 @@ impl fmt::Display for PersistError {
             PersistError::BadHeader => write!(f, "missing or truncated HDP1 header"),
             PersistError::UnknownMode(m) => write!(f, "unknown feature-mode tag {m}"),
             PersistError::ZeroDim => write!(f, "header declares a zero-dimensional model"),
+            PersistError::DimTooLarge(dim) => {
+                write!(f, "header declares D={dim}, past the largest D={MAX_DIM}")
+            }
             PersistError::Model(e) => write!(f, "embedded model is invalid: {e}"),
             PersistError::DimMismatch { header, model } => {
                 write!(f, "header says D={header} but the model is D={model}")
@@ -229,8 +242,8 @@ pub fn model_hash(classes: &[BitVector]) -> u64 {
 }
 
 /// Decodes the `HDP1` header and returns `(mode_tag, dim, seed)`.
-/// A zero dimensionality is rejected here, before any extractor is
-/// built from it.
+/// A zero dimensionality or one past [`MAX_DIM`] is rejected here,
+/// before any extractor is built from it.
 fn decode_header(bytes: &[u8]) -> Result<(u8, usize, u64), PersistError> {
     if bytes.len() < MODEL_OFFSET || &bytes[..4] != MAGIC {
         return Err(PersistError::BadHeader);
@@ -238,6 +251,9 @@ fn decode_header(bytes: &[u8]) -> Result<(u8, usize, u64), PersistError> {
     let dim = u32::from_le_bytes(bytes[5..9].try_into().expect("sized")) as usize;
     if dim == 0 {
         return Err(PersistError::ZeroDim);
+    }
+    if dim > MAX_DIM {
+        return Err(PersistError::DimTooLarge(dim));
     }
     let seed = u64::from_le_bytes(bytes[9..17].try_into().expect("sized"));
     Ok((bytes[4], dim, seed))

@@ -9,7 +9,7 @@ use std::sync::OnceLock;
 use hdface::datasets::face2_spec;
 use hdface::hdc::{BitVector, HdcRng, SeedableRng};
 use hdface::learn::{BinaryHdModel, TrainConfig};
-use hdface::persist::{encode_model, load_bytes_with_integrity, PersistError};
+use hdface::persist::{encode_model, load_bytes_with_integrity, PersistError, MAX_DIM};
 use hdface::pipeline::{HdFeatureMode, HdPipeline};
 use proptest::prelude::*;
 
@@ -232,6 +232,25 @@ fn zero_dimension_headers_are_typed_errors_in_every_mode() {
     assert!(PersistError::ZeroDim
         .to_string()
         .contains("zero-dimensional"));
+}
+
+#[test]
+fn dimensions_past_the_cap_are_refused_from_the_header() {
+    // A valid hyper-HOG file at the cap loads; one a bit larger is
+    // refused before its extractor is built.
+    let (at_cap, _) = valid_file(1, MAX_DIM, 1, 3, true);
+    assert_eq!(HdPipeline::load_bytes(&at_cap).unwrap().dim(), MAX_DIM);
+    let (past, _) = valid_file(1, MAX_DIM + 1, 1, 3, true);
+    let e = HdPipeline::load_bytes(&past).unwrap_err();
+    assert!(
+        matches!(e, PersistError::DimTooLarge(d) if d == MAX_DIM + 1),
+        "{e:?}"
+    );
+    assert!(e.to_string().contains("65537"), "{e}");
+    assert!(matches!(
+        load_bytes_with_integrity(&past),
+        Err(PersistError::DimTooLarge(_))
+    ));
 }
 
 /// A valid `HDP1` file of `classes` random class vectors at `dim`, with
