@@ -10,14 +10,14 @@
 //! ```
 //!
 //! Expected output with the workspace's `HdcRng` (xoshiro256++), the
-//! wide mask stream, the pixel codebook, the sampled magnitude decodes
-//! and the count-process square root, identical under
+//! wide mask stream, the pixel codebook, the L1 magnitude drawn from
+//! its fair count and the `[0, 1/32]` slot codebook, identical under
 //! `HDFACE_NO_SIMD=0` and `HDFACE_NO_SIMD=1`:
 //!
 //! ```text
-//! dim 1024: window 9b341b47f2bd0368 cached 5ac4f80e372e8fe4
-//! dim 4096: window 877bb043deeb1a14 cached e19770203b600a94
-//! dim 8193: window 6ad3162e5e7d0dee cached 99cd73dd50d4c66f
+//! dim 1024: window e47f57ae3fc5f683 cached 4c3d192eac216a42
+//! dim 4096: window c5d7d186a67d5962 cached e7b8928d0a756ac2
+//! dim 8193: window 3db44e676c08a208 cached e22c83a8ac1ca455
 //! ```
 //!
 //! `scripts/check-pins.sh` diffs this program's output against the

@@ -68,9 +68,10 @@ pub struct HyperHogConfig {
     /// Hypervector dimensionality `D` (the paper sweeps 1k–10k and
     /// settles on 4k).
     pub dim: usize,
-    /// Bisection iterations for the per-pixel magnitude square root.
-    /// Six halvings reach 1.6% resolution — at the decode noise floor
-    /// of D = 4k — at 40% less cost than the generic default of 10.
+    /// Bisection iterations of the paper's magnitude square root. The
+    /// extractor takes an L1 magnitude and runs no root; only the
+    /// benchmark's per-op replay (`benchmark/src/profile.rs`) reads
+    /// this, until that replay follows the cell pass (ROADMAP item 1).
     pub sqrt_iters: usize,
 }
 

@@ -11,8 +11,12 @@
 //!    share one vector.
 //! 2. **Gradient** — `V_Gx = 0.5·V_C(x+1,y) ⊕ 0.5·(−V_C(x−1,y))` and
 //!    likewise for `Gy` (halved central differences).
-//! 3. **Magnitude** — `V_(Gx²+Gy²)/2` by stochastic squaring and a
-//!    halved addition, then a binary-search square root.
+//! 3. **Magnitude** — the L1 magnitude `V_(|Gx|+|Gy|)/2`: each
+//!    gradient negated where its statistical sign is negative, then a
+//!    halved addition. The paper takes `√((Gx²+Gy²)/2)` by stochastic
+//!    squaring and a binary-search root instead; that root cannot
+//!    resolve a value below its squared probe's decode noise, so every
+//!    magnitude sat on a floor of ≈ 0.6·D^(−1/4) (DESIGN.md §2).
 //! 4. **Angle bin** — quadrant localization from the statistical signs
 //!    of `Gx`, `Gy`, then monotone-tan comparisons against precomputed
 //!    `V_tanθᵢ` / `V_cotθᵢ` hypervectors via the paper's
@@ -158,6 +162,13 @@ impl CellArena {
             gy: Shv::zeros(dim),
             gxy: Shv::zeros(dim),
         }
+    }
+
+    /// `h(Gx, V₁)`, `h(Gy, V₁)` and `h(Gx, Gy)`: the counts the
+    /// magnitude's law and the quadrant read.
+    fn gradient_counts(&self, basis: &Shv) -> Result<(usize, usize, usize), StochasticError> {
+        let (gx, gy, basis) = (self.gx.as_bits(), self.gy.as_bits(), basis.as_bits());
+        Ok((gx.hamming(basis)?, gy.hamming(basis)?, gx.hamming(gy)?))
     }
 }
 
@@ -439,11 +450,12 @@ impl HyperHog {
     }
 
     /// Upper edge of the slot-value quantization range. Slot values
-    /// are magnitude sums divided by cell area; on natural-statistics
-    /// images they concentrate well below the theoretical 0.5 maximum,
-    /// so the codebook spans `[0, 0.25]` (values above saturate to the
-    /// top level) to spend its resolution where the data lives.
-    const LEVEL_RANGE_MAX: f64 = 0.25;
+    /// are L1 magnitude sums divided by cell area; on FACE2 crops at
+    /// `D = 4096` they read p50 0.0045, p99 0.039 and max 0.066, so
+    /// the codebook spans `[0, 1/32]` to spend its resolution where the
+    /// data lives: every level is used and ~3% of slots saturate to the
+    /// top one. At `[0, 0.25]` 80% of slots fell in levels 0–1.
+    const LEVEL_RANGE_MAX: f64 = 1.0 / 32.0;
 
     /// Levels of the correlative slot codebook spanning
     /// `[0, LEVEL_RANGE_MAX]`.
@@ -549,11 +561,10 @@ impl HyperHog {
     ///
     /// Every intermediate is written into the scratch's
     /// [`CellArena`], so no pixel allocates. What would only be decoded
-    /// is never built: the gradients' squares, their halved sum, the
-    /// root's bisection and each tan comparison's `α` are drawn from
-    /// their exact laws. RNG draws happen in a fixed order per pixel —
-    /// gradients, halved sum of squares, square root, tan comparisons —
-    /// which is all that defines the output bits.
+    /// is never built: the magnitude `(|Gx| + |Gy|)/2` and each tan
+    /// comparison's `α` are drawn from their exact laws. RNG draws
+    /// happen in a fixed order per pixel — gradients, magnitude, tan
+    /// comparisons — which is all that defines the output bits.
     ///
     /// Shared by the per-window path
     /// ([`extract_slots_with`](Self::extract_slots_with)) and the
@@ -570,7 +581,6 @@ impl HyperHog {
     ) -> Result<(), HyperHogError> {
         let at = |x: isize, y: isize| self.pixel_code(image, x, y);
         let c = self.config.hog.cell_size;
-        let iters = self.config.sqrt_iters;
         let n_bounds = self.boundaries.tangents().len();
         let (mask_rng, a) = scratch.split(self.config.dim);
         let ctx = &self.ctx;
@@ -583,16 +593,16 @@ impl HyperHog {
                 ctx.sub_halved_into(at(x + 1, y), at(x - 1, y), mask_rng, &mut a.mask, &mut a.gx)?;
                 ctx.sub_halved_into(at(x, y + 1), at(x, y - 1), mask_rng, &mut a.mask, &mut a.gy)?;
 
-                // Magnitude: √((Gx² + Gy²)/2), rooting a draw of the
-                // halved sum's decode. Only its read-out is used, so
-                // the root stays a distance from V₁.
-                let sum = ctx.decode_halved_square_sum_with(&a.gx, &a.gy, mask_rng)?;
-                let h = ctx.sqrt_distance_with(sum.halved_sum, iters, mask_rng);
+                // Magnitude: (|Gx| + |Gy|)/2, drawn from its law on the
+                // gradients' counts. Only its read-out is used, so it
+                // stays a distance from V₁.
+                let (hx, hy, hxy) = a.gradient_counts(ctx.basis())?;
+                let h = ctx.halved_abs_sum_distance_at(hx, hy, hxy, mask_rng);
                 let magnitude = ctx.value_at_distance(h);
 
                 // Angle bin: quadrant + tan comparisons.
-                let gx_pos = ctx.value_at_distance(sum.ha) >= 0.0;
-                let gy_pos = ctx.value_at_distance(sum.hb) >= 0.0;
+                let gx_pos = ctx.value_at_distance(hx) >= 0.0;
+                let gy_pos = ctx.value_at_distance(hy) >= 0.0;
                 let quadrant = crate::binning::quadrant_of(gx_pos, gy_pos);
                 let even = quadrant.is_multiple_of(2);
                 if n_bounds > 0 {
@@ -600,7 +610,7 @@ impl HyperHog {
                 }
                 let mut in_q = 0;
                 for i in 0..n_bounds {
-                    if self.tan_exceeds((sum.ha, sum.hb), gx_pos, even, i, mask_rng, a)? {
+                    if self.tan_exceeds((hx, hy), gx_pos, even, i, mask_rng, a)? {
                         in_q = i + 1;
                     } else {
                         break;
@@ -1012,11 +1022,8 @@ impl fmt::Debug for HyperHog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "HyperHog(D={}, cell={}, bins={}, sqrt_iters={})",
-            self.config.dim,
-            self.config.hog.cell_size,
-            self.config.hog.bins,
-            self.config.sqrt_iters
+            "HyperHog(D={}, cell={}, bins={})",
+            self.config.dim, self.config.hog.cell_size, self.config.hog.bins
         )
     }
 }
@@ -1050,6 +1057,29 @@ mod tests {
         for &v in f.as_slice() {
             assert!(v.abs() < 0.08, "slot value {v} should be ≈ 0");
         }
+    }
+
+    #[test]
+    fn flat_image_magnitude_has_no_noise_floor() {
+        // A flat image has no gradient: its magnitude is decode noise
+        // alone, |N(0, 1/D)|-like, so 16× the dimensions cut it 4×. A
+        // root that cannot resolve values below its own noise would
+        // sit on a floor that only halves.
+        let img = GrayImage::filled(32, 32, 0.5);
+        let mean_magnitude = |dim: usize| {
+            let hog = HyperHog::new(small_config(dim), 12);
+            let f = hog
+                .extract_histogram_with(&img, &mut hog.scratch_for_stream(1))
+                .unwrap();
+            // A cell's slots sum to its mean pixel magnitude.
+            let cells = f.as_slice().len() / hog.config.hog.bins;
+            f.as_slice().iter().sum::<f64>() / cells as f64
+        };
+        let (low, high) = (mean_magnitude(1024), mean_magnitude(16_384));
+        assert!(
+            low >= 3.0 * high,
+            "mean magnitude {low} at D = 1024 vs {high} at D = 16384"
+        );
     }
 
     #[test]
@@ -1411,64 +1441,40 @@ mod tests {
     ///
     /// The pass takes the laws it draws from as a parameter.
     /// [`Path::Laws`] makes the production draws; [`Path::Vectors`]
-    /// builds every square, the halved sum, each bisection probe, the
-    /// root and each tan comparison's `α` as a hypervector — the vector
-    /// path whose laws the production draws sample — and anchors the
-    /// distribution tests.
+    /// builds both absolute gradients, their halved sum and each tan
+    /// comparison's `α` as a hypervector — the vector path whose laws
+    /// the production draws sample — and anchors the distribution
+    /// tests.
     mod reference {
         use super::*;
 
         /// Which draws the reference pass makes.
         #[derive(Debug, Clone, Copy)]
         pub(super) enum Path {
-            /// The production draws: decode laws, the count root and
-            /// the `α` sign law.
+            /// The production draws: the magnitude's law and the `α`
+            /// sign law.
             Laws,
             /// Every intermediate a hypervector.
             Vectors,
         }
 
-        /// A pixel's read-out magnitude `√((Gx² + Gy²)/2)`.
+        /// A pixel's read-out magnitude `(|Gx| + |Gy|)/2`.
         fn magnitude(hog: &HyperHog, path: Path, gx: &Shv, gy: &Shv, mask_rng: &mut HdcRng) -> f64 {
             let ctx = &hog.ctx;
             match path {
                 Path::Laws => {
-                    let sum = ctx.decode_halved_square_sum_with(gx, gy, mask_rng).unwrap();
-                    let h = ctx.sqrt_distance_with(sum.halved_sum, hog.config.sqrt_iters, mask_rng);
-                    ctx.value_at_distance(h)
+                    let basis = ctx.basis().as_bits();
+                    let hx = gx.as_bits().hamming(basis).unwrap();
+                    let hy = gy.as_bits().hamming(basis).unwrap();
+                    let hxy = gx.as_bits().hamming(gy.as_bits()).unwrap();
+                    ctx.value_at_distance(ctx.halved_abs_sum_distance_at(hx, hy, hxy, mask_rng))
                 }
-                Path::Vectors => ctx
-                    .decode(&magnitude_by_vectors(hog, gx, gy, mask_rng))
-                    .unwrap(),
-            }
-        }
-
-        /// The magnitude with every intermediate a hypervector: two
-        /// squares, their halved sum, and a bisection that squares each
-        /// midpoint before decoding it.
-        fn magnitude_by_vectors(hog: &HyperHog, gx: &Shv, gy: &Shv, mask_rng: &mut HdcRng) -> Shv {
-            let ctx = &hog.ctx;
-            let gx2 = ctx.square_with(gx, mask_rng).unwrap();
-            let gy2 = ctx.square_with(gy, mask_rng).unwrap();
-            let msq = ctx.add_halved_with(&gx2, &gy2, mask_rng).unwrap();
-            let target = ctx.decode(&msq).unwrap();
-            let mut low = ctx.encode_with(0.0, mask_rng).unwrap();
-            let mut high = ctx.basis().clone();
-            let mut mid = ctx
-                .weighted_average_with(&low, &high, 0.5, mask_rng)
-                .unwrap();
-            for _ in 0..hog.config.sqrt_iters {
-                let probe = ctx.square_with(&mid, mask_rng).unwrap();
-                if ctx.decode(&probe).unwrap() > target {
-                    high = mid;
-                } else {
-                    low = mid;
+                Path::Vectors => {
+                    let (ax, ay) = (ctx.abs(gx).unwrap(), ctx.abs(gy).unwrap());
+                    let sum = ctx.add_halved_with(&ax, &ay, mask_rng).unwrap();
+                    ctx.decode(&sum).unwrap()
                 }
-                mid = ctx
-                    .weighted_average_with(&low, &high, 0.5, mask_rng)
-                    .unwrap();
             }
-            mid
         }
 
         #[allow(clippy::too_many_arguments)]

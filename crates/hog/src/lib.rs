@@ -8,8 +8,10 @@
 //! * [`HyperHog`] — the paper's contribution (§4.3): the *entire*
 //!   pipeline runs on stochastic binary hypervectors. Pixels are
 //!   quantized into correlative hypervectors, gradients are halved
-//!   subtractions (⊕), magnitudes use stochastic squaring and
-//!   binary-search square roots, and the angle bin is found by
+//!   subtractions (⊕), magnitudes are the L1 `(|Gx|+|Gy|)/2` from the
+//!   statistical sign, negation and a halved addition (the paper's
+//!   squaring and binary-search root sat on a noise floor), and the
+//!   angle bin is found by
 //!   quadrant localization plus monotone-tan comparisons against
 //!   precomputed `V_tanθᵢ` / `V_cotθᵢ` codebooks — never computing an
 //!   arctangent.
@@ -21,7 +23,8 @@
 //!
 //! Both HOG implementations produce per-(cell, bin) histogram values with identical
 //! normalization (sum of magnitudes ÷ cell area), so their outputs are
-//! directly comparable; `HyperHog` additionally bundles the slots into
+//! directly comparable (the L1 magnitude lies between `1/√2` and 1 of
+//! the classic L2); `HyperHog` additionally bundles the slots into
 //! a single feature hypervector for the HDC classifier.
 //!
 //! ```

@@ -1,8 +1,8 @@
 //! An exact binomial sampler over the caller's mask stream.
 //!
 //! A [`Binomial`] is one law with the constants its draws read; a law
-//! drawn many times is built once (`StochasticContext` keeps the count
-//! root's and the sign law's), and [`binomial`] builds one per draw.
+//! drawn many times is built once (`StochasticContext` keeps the fair
+//! laws the cell pass draws), and [`binomial`] builds one per draw.
 //!
 //! The decode of a vector that is built only to be decoded is a sum
 //! of binomial counts (see `DESIGN.md` §17), so drawing those counts
@@ -39,8 +39,8 @@ const LN_FACTORIAL_TABLE: usize = 1 << 14;
 /// The law `Bin(n, p)`: the number of successes in `n` independent
 /// trials of probability `p ∈ [0, 1]`, with every constant a draw
 /// reads computed once, by [`Binomial::new`]. A law that is drawn many
-/// times (the count root's, see `StochasticContext`) pays its set-up
-/// once; [`binomial`] builds one per draw. Either way a draw reads the
+/// times (a fair law, see `StochasticContext`) pays its set-up once;
+/// [`binomial`] builds one per draw. Either way a draw reads the
 /// same `f64`s, evaluated in the same order, so it consumes the same
 /// words of the caller's stream and returns the same count.
 #[derive(Debug, Clone, Copy)]

@@ -135,20 +135,15 @@ fn encode_density(v: f64) -> f64 {
 
 /// Contexts below this dimensionality tabulate their [`CountLaws`]: the
 /// `ln k!` table's range, which holds the paper's dimensionalities. The
-/// tables take 336 bytes per dimension (1.4 MB at `D = 4096`); past
+/// table takes 112 bytes per dimension (0.46 MB at `D = 4096`); past
 /// the bound every law is built per draw instead, so a model header's
 /// `u32` D cannot make a scan allocate gigabytes.
 const TABULATED_DIMS: usize = 1 << 14;
 
-/// The binomial laws the count root and the sign law draw, indexed by
-/// the one count each depends on, so a draw skips the set-up of its law
-/// (`StochasticContext::count_laws`).
+/// The fair laws the cell pass draws — the magnitude's and the sign
+/// law's — indexed by their trial count, so a draw skips the set-up of
+/// its law (`StochasticContext::count_laws`).
 struct CountLaws {
-    /// `Bin(D, ¼)`: the root's first midpoint.
-    quarter: Binomial,
-    /// For each `h ≤ D`, the squared probe's law at distance `h` from
-    /// `V₁`: `Bin(D − h, ρ(h))` and `Bin(h, 1 − ρ(h))`.
-    probes: Box<[(Binomial, Binomial)]>,
     /// `Bin(n, ½)` for each `n ≤ D`.
     fair: Box<[Binomial]>,
 }
@@ -169,24 +164,9 @@ pub enum Comparison {
     Greater,
 }
 
-/// What [`StochasticContext::decode_halved_square_sum_with`] returns:
-/// the Hamming distances of its two operands from `V₁`, read exactly,
-/// and a draw of the decode of their halved sum of squares.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SquareSumDecode {
-    /// `h(a, V₁)`; `decode(a)` is its
-    /// [`value_at_distance`](StochasticContext::value_at_distance).
-    pub ha: usize,
-    /// `h(b, V₁)`.
-    pub hb: usize,
-    /// A draw of `decode(add_halved(square(a), square(b)))`, which
-    /// estimates `(a² + b²)/2`.
-    pub halved_sum: f64,
-}
-
 /// The arithmetic context of §4: dimensionality `D`, the random basis
 /// `V₁`, the RNG that draws selection masks, and, built on first use,
-/// the binomial laws of the count root and the sign law.
+/// the fair binomial laws of the magnitude and the sign law.
 ///
 /// All values produced by one context share its basis; mixing vectors
 /// from different contexts is not detected (they are just bits) and
@@ -617,32 +597,9 @@ impl StochasticContext {
     /// density, so only the noise bits differ from the vector path,
     /// never the law.
     pub(crate) fn decode_square_at(&self, h: usize, rng: &mut HdcRng) -> f64 {
-        let (kept, flipped) = &*self.probe_laws(h);
-        let agree = kept.draw(rng) + flipped.draw(rng);
-        self.value_at_distance(self.dim - agree)
-    }
-
-    /// The laws [`decode_square_at`](Self::decode_square_at) draws at
-    /// distance `h`: `Bin(D − h, p)` and `Bin(h, 1 − p)`, with `p` the
-    /// instance density.
-    fn probe_laws(&self, h: usize) -> Cow<'_, (Binomial, Binomial)> {
-        match self.count_laws() {
-            Some(laws) => Cow::Borrowed(&laws.probes[h]),
-            None => Cow::Owned(self.probe_pair(h)),
-        }
-    }
-
-    fn probe_pair(&self, h: usize) -> (Binomial, Binomial) {
         let p = self.instance_density(h);
-        (Binomial::new(self.dim - h, p), Binomial::new(h, 1.0 - p))
-    }
-
-    /// `Bin(D, ¼)`.
-    pub(crate) fn quarter_law(&self) -> Cow<'_, Binomial> {
-        match self.count_laws() {
-            Some(laws) => Cow::Borrowed(&laws.quarter),
-            None => Cow::Owned(Binomial::new(self.dim, 0.25)),
-        }
+        let agree = binomial(self.dim - h, p, rng) + binomial(h, 1.0 - p, rng);
+        self.value_at_distance(self.dim - agree)
     }
 
     /// `Bin(n, ½)` for `n ≤ D`.
@@ -659,53 +616,43 @@ impl StochasticContext {
     fn count_laws(&self) -> Option<&CountLaws> {
         (self.dim < TABULATED_DIMS).then(|| {
             self.count_laws.get_or_init(|| CountLaws {
-                quarter: Binomial::new(self.dim, 0.25),
-                probes: (0..=self.dim).map(|h| self.probe_pair(h)).collect(),
                 fair: (0..=self.dim).map(|n| Binomial::new(n, 0.5)).collect(),
             })
         })
     }
 
-    /// A draw of `decode(add_halved(square(a), square(b)))` from its
-    /// exact law — the halved sum of squares `(a² + b²)/2` — together
-    /// with the distances of `a` and `b` from `V₁` it reads on the way.
+    /// A draw of the Hamming distance from `V₁` of
+    /// `add_halved(abs(a), abs(b))`, the L1 magnitude `(|a| + |b|)/2`,
+    /// from its exact law, given `ha = h(a, V₁)`, `hb = h(b, V₁)` and
+    /// `hab = h(a, b)`.
     ///
-    /// The three Hamming counts `h(a, V₁)`, `h(b, V₁)` and `h(a, b)`
-    /// split the positions into four classes by whether `a` and `b`
-    /// agree with `V₁`. The ½ selection takes either square's bit, so a
-    /// position agrees with probability `½·pa + ½·pb`, where `pa` is
-    /// the density of `a`'s instance if `a` agrees there and its
-    /// complement if not (likewise `pb`). Each class adds one binomial.
+    /// [`abs`](Self::abs) negates an operand that decodes negative,
+    /// which turns its distance `h` into `D − h`: so `|a|` sits at
+    /// `dx = ha` if `a` decodes non-negative and `D − ha` otherwise,
+    /// `|b|` at `dy` likewise, and the two are `dxy = hab` apart if
+    /// their signs agree and `D − hab` if exactly one was negated. Both
+    /// agree with `V₁` at `D − (dx + dy + dxy)/2` positions, where the
+    /// ½ selection keeps `V₁`'s bit; at the `dxy` positions where they
+    /// differ exactly one agrees, and the selection takes it with
+    /// probability ½. So the halved sum agrees with `V₁` at
+    /// `D − (dx + dy + dxy)/2 + Bin(dxy, ½)` positions.
     ///
-    /// # Errors
-    ///
-    /// Returns [`StochasticError::DimensionMismatch`] for ragged
-    /// operands.
-    pub fn decode_halved_square_sum_with(
+    /// The counts must be those of two vectors of the context's
+    /// dimensionality; any other triple is meaningless (and may panic).
+    #[must_use]
+    pub fn halved_abs_sum_distance_at(
         &self,
-        a: &Shv,
-        b: &Shv,
+        ha: usize,
+        hb: usize,
+        hab: usize,
         rng: &mut HdcRng,
-    ) -> Result<SquareSumDecode, StochasticError> {
-        let ha = a.0.hamming(&self.basis.0)?;
-        let hb = b.0.hamming(&self.basis.0)?;
-        let hab = a.0.hamming(&b.0)?;
-        // Positions where both disagree with V₁; a and b differ exactly
-        // where one of them does.
-        let both = (ha + hb - hab) / 2;
-        let (pa, pb) = (self.instance_density(ha), self.instance_density(hb));
-        let classes = [
-            (self.dim + both - ha - hb, 0.5 * pa + 0.5 * pb),
-            (ha - both, 0.5 * (1.0 - pa) + 0.5 * pb),
-            (hb - both, 0.5 * pa + 0.5 * (1.0 - pb)),
-            (both, 0.5 * (1.0 - pa) + 0.5 * (1.0 - pb)),
-        ];
-        let agree: usize = classes.iter().map(|&(n, p)| binomial(n, p, rng)).sum();
-        Ok(SquareSumDecode {
-            ha,
-            hb,
-            halved_sum: self.value_at_distance(self.dim - agree),
-        })
+    ) -> usize {
+        let non_negative = |h: usize| self.value_at_distance(h) >= 0.0;
+        let (a_pos, b_pos) = (non_negative(ha), non_negative(hb));
+        let dx = if a_pos { ha } else { self.dim - ha };
+        let dy = if b_pos { hb } else { self.dim - hb };
+        let dxy = if a_pos == b_pos { hab } else { self.dim - hab };
+        (dx + dy + dxy) / 2 - self.fair_law(dxy).draw(rng)
     }
 
     /// A draw of `is_non_negative(sub_halved(a, b))`, the sign of the
@@ -1071,30 +1018,33 @@ mod tests {
     }
 
     #[test]
-    fn halved_square_sum_decode_follows_the_vector_law() {
+    fn halved_abs_sum_distance_follows_the_vector_law() {
         for dim in LAW_DIMS {
             let mut ctx = StochasticContext::new(dim, 42);
-            for (va, vb) in [(0.01, -0.02), (0.5, 0.48), (-0.5, 0.3), (0.45, -0.55)] {
-                let a = ctx.encode(va).unwrap();
-                let b = ctx.encode(vb).unwrap();
+            let basis = ctx.basis().as_bits().clone();
+            for (va, vb) in [
+                (0.5, 0.3),
+                (-0.4, -0.45),
+                (-0.5, 0.3),
+                (0.45, -0.55),
+                (0.01, -0.02),
+            ] {
+                let (a, b) = (ctx.encode(va).unwrap(), ctx.encode(vb).unwrap());
+                let ha = a.as_bits().hamming(&basis).unwrap();
+                let hb = b.as_bits().hamming(&basis).unwrap();
+                let hab = a.as_bits().hamming(b.as_bits()).unwrap();
                 let mut rng = HdcRng::seed_from_u64(43);
-                let mut got = Vec::with_capacity(LAW_DRAWS);
-                for _ in 0..LAW_DRAWS {
-                    let sum = ctx.decode_halved_square_sum_with(&a, &b, &mut rng).unwrap();
-                    let (da, db) = (ctx.decode(&a).unwrap(), ctx.decode(&b).unwrap());
-                    assert_eq!(ctx.value_at_distance(sum.ha).to_bits(), da.to_bits());
-                    assert_eq!(ctx.value_at_distance(sum.hb).to_bits(), db.to_bits());
-                    got.push(sum.halved_sum);
-                }
+                let got: Vec<f64> = (0..LAW_DRAWS)
+                    .map(|_| ctx.halved_abs_sum_distance_at(ha, hb, hab, &mut rng) as f64)
+                    .collect();
+                let (abs_a, abs_b) = (ctx.abs(&a).unwrap(), ctx.abs(&b).unwrap());
                 let want: Vec<f64> = (0..LAW_DRAWS)
                     .map(|_| {
-                        let a2 = ctx.square_with(&a, &mut rng).unwrap();
-                        let b2 = ctx.square_with(&b, &mut rng).unwrap();
-                        let sum = ctx.add_halved_with(&a2, &b2, &mut rng).unwrap();
-                        ctx.decode(&sum).unwrap()
+                        let sum = ctx.add_halved_with(&abs_a, &abs_b, &mut rng).unwrap();
+                        sum.as_bits().hamming(&basis).unwrap() as f64
                     })
                     .collect();
-                assert_same_law(&format!("D={dim} (({va})² + ({vb})²)/2"), &got, &want);
+                assert_same_law(&format!("D={dim} (|{va}| + |{vb}|)/2"), &got, &want);
             }
         }
     }
@@ -1133,21 +1083,34 @@ mod tests {
 
     #[test]
     fn decode_laws_reach_the_exact_ends() {
-        // ±1 squares to exactly 1 on both paths: the instance is V₁
-        // or V₋₁ and the draws are degenerate.
-        let mut ctx = StochasticContext::new(1000, 44);
+        // ±1 squares to exactly 1: the instance is V₁ or V₋₁ and the
+        // draws are degenerate.
+        let ctx = StochasticContext::new(1000, 44);
         let mut rng = HdcRng::seed_from_u64(45);
-        let (one, neg) = (ctx.encode(1.0).unwrap(), ctx.encode(-1.0).unwrap());
         assert_eq!(ctx.decode_square_at(0, &mut rng), 1.0);
         assert_eq!(ctx.decode_square_at(1000, &mut rng), 1.0);
-        let sum = ctx
-            .decode_halved_square_sum_with(&one, &neg, &mut rng)
-            .unwrap();
-        assert_eq!((sum.ha, sum.hb, sum.halved_sum), (0, 1000, 1.0));
-        let foreign = Shv::zeros(999);
-        assert!(ctx
-            .decode_halved_square_sum_with(&one, &foreign, &mut rng)
-            .is_err());
+    }
+
+    #[test]
+    fn halved_abs_sum_reaches_the_exact_ends() {
+        // |±1| is V₁ itself, so every pair of ends sums to V₁ exactly:
+        // the operands' absolute values never differ and nothing is
+        // drawn.
+        let ctx = StochasticContext::new(1000, 46);
+        let (one, neg) = (ctx.basis().clone(), ctx.neg_basis().clone());
+        let mut rng = HdcRng::seed_from_u64(47);
+        for (a, b) in [(&one, &neg), (&neg, &one), (&one, &one), (&neg, &neg)] {
+            let ha = a.as_bits().hamming(one.as_bits()).unwrap();
+            let hb = b.as_bits().hamming(one.as_bits()).unwrap();
+            let hab = a.as_bits().hamming(b.as_bits()).unwrap();
+            let mut untouched = rng.clone();
+            assert_eq!(ctx.halved_abs_sum_distance_at(ha, hb, hab, &mut rng), 0);
+            assert_eq!(rng.clone().next_u64(), untouched.next_u64(), "drew");
+            let vector = ctx
+                .add_halved_with(&ctx.abs(a).unwrap(), &ctx.abs(b).unwrap(), &mut rng)
+                .unwrap();
+            assert_eq!(&vector, ctx.basis());
+        }
     }
 
     /// The count root and the sign law as they drew before their laws

@@ -56,5 +56,5 @@ mod testing;
 
 pub use analysis::{expected_sigma, measure_errors, OpErrorStats, OpKind};
 pub use budget::{hog_magnitude_sigma, ErrorBudget};
-pub use context::{derive_coord_seed, Comparison, Shv, SquareSumDecode, StochasticContext};
+pub use context::{derive_coord_seed, Comparison, Shv, StochasticContext};
 pub use error::StochasticError;

@@ -139,7 +139,7 @@ impl StochasticContext {
     #[must_use]
     pub fn sqrt_distance_with(&self, target: f64, iters: usize, rng: &mut HdcRng) -> usize {
         let dim = self.dim();
-        let mut h = self.quarter_law().draw(rng);
+        let mut h = binomial(dim, 0.25, rng);
         if iters == 0 {
             return h;
         }
