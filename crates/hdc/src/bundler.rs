@@ -8,18 +8,22 @@
 //! of unweighted ±1 contributions only ever needs the per-dimension
 //! *ones count*, and that count fits in ⌈log₂(N+1)⌉ bits — so this
 //! module keeps it in that many `u64` *planes* and updates all 64
-//! dimensions of a word at once with half/full-adder logic:
+//! dimensions of a word at once with adder logic. Bound inputs are
+//! taken eight at a time: per word, a carry-save tree of full adders
+//! sums the block's eight bound words into a 4-bit count, and a
+//! ripple-carry add of fixed depth puts it into every live plane:
 //!
 //! ```text
-//! plane 0 (weight 1):  carry = input
-//! plane p:             plane', carry' = plane ⊕ carry, plane ∧ carry
+//! s₀..s₃        = carry-save tree over x₁..x₈   (xᵢ = valueᵢ ⊕ keyᵢ)
+//! plane p, carry = plane ⊕ sₚ ⊕ carry, maj(plane, sₚ, carry)
 //! ```
 //!
-//! Amortized over N inputs the ripple touches ~2 planes per word, so
-//! one packed word costs a handful of bitwise ops instead of 64
-//! floating-point adds. [`BitSlicedBundler::threshold`] then compares
-//! every per-bit counter against the majority cutoff word-parallel,
-//! without ever materializing per-bit `f64`s.
+//! The operations are the same whatever the bits are, so one packed
+//! word costs a few bitwise ops per input, with no branch on the data,
+//! instead of 64 floating-point adds.
+//! [`BitSlicedBundler::threshold`] then compares every per-bit counter
+//! against the majority cutoff word-parallel, without ever
+//! materializing per-bit `f64`s.
 //!
 //! # Tie-break contract
 //!
@@ -42,10 +46,35 @@ use crate::HdcRng;
 
 const WORD_BITS: usize = 64;
 
+/// Pairs per carry-save block: the per-dimension sum of eight bound
+/// bits fits in the 4-bit output of [`carry_save_sum`].
+const BLOCK: usize = 8;
+
+/// One bit plane of a full adder: the sum and the carry of `a + b + c`.
+#[inline]
+pub(crate) fn full_add(a: u64, b: u64, c: u64) -> (u64, u64) {
+    let ab = a ^ b;
+    (ab ^ c, (a & b) | (c & ab))
+}
+
+/// The per-bit sum of eight words as four bit planes, weight 1 first:
+/// a carry-save tree of four full and three half adders.
+#[inline]
+fn carry_save_sum(x: [u64; BLOCK]) -> [u64; 4] {
+    let (s_a, c_a) = full_add(x[0], x[1], x[2]);
+    let (s_b, c_b) = full_add(x[3], x[4], x[5]);
+    let (s_c, c_c) = full_add(x[6], x[7], s_a);
+    let (ones, c_d) = (s_b ^ s_c, s_b & s_c);
+    let (s_e, c_e) = full_add(c_a, c_b, c_c);
+    let (twos, c_f) = (s_e ^ c_d, s_e & c_d);
+    [ones, twos, c_e ^ c_f, c_e & c_f]
+}
+
 /// A word-parallel carry-save majority bundler.
 ///
-/// Ingests packed `u64` words directly — [`bind_accumulate`] fuses
-/// the slot-key XOR with the per-bit count update — and thresholds to
+/// Ingests packed `u64` words directly — [`bind_accumulate_all`]
+/// fuses the slot-key XOR with the per-bit count update for a whole
+/// list of pairs — and thresholds to
 /// the majority [`BitVector`] in one word-level pass. Designed to be
 /// kept in per-worker scratch and [`reset`] per window, so the
 /// steady-state hot path performs no allocation.
@@ -58,9 +87,9 @@ const WORD_BITS: usize = 64;
 /// let key = BitVector::random(300, &mut rng);
 ///
 /// let mut kernel = BitSlicedBundler::new(300);
+/// kernel.bind_accumulate_all(vs.iter().map(|v| (v, &key))).unwrap();
 /// let mut reference = Accumulator::new(300);
 /// for v in &vs {
-///     kernel.bind_accumulate(v, &key).unwrap();
 ///     reference.add(&v.xor(&key).unwrap()).unwrap();
 /// }
 /// let mut r1 = HdcRng::seed_from_u64(1);
@@ -68,7 +97,7 @@ const WORD_BITS: usize = 64;
 /// assert_eq!(kernel.threshold(&mut r1), reference.threshold(&mut r2));
 /// ```
 ///
-/// [`bind_accumulate`]: BitSlicedBundler::bind_accumulate
+/// [`bind_accumulate_all`]: BitSlicedBundler::bind_accumulate_all
 /// [`reset`]: BitSlicedBundler::reset
 #[derive(Debug, Clone)]
 pub struct BitSlicedBundler {
@@ -134,65 +163,106 @@ impl BitSlicedBundler {
         self.n_planes
     }
 
-    /// Grows the live plane set so counters can hold `count + 1`
-    /// without carry overflow.
-    fn reserve_next(&mut self) {
-        let needed = (usize::BITS - (self.count + 1).leading_zeros()) as usize;
-        if needed > self.n_planes {
-            let want = needed * self.words;
-            if self.planes.len() < want {
-                self.planes.resize(want, 0);
-            }
-            self.n_planes = needed;
-        }
-    }
-
-    /// Ripples one input word into the counter planes of word `w`.
-    #[inline]
-    fn ripple(planes: &mut [u64], words: usize, n_planes: usize, w: usize, mut carry: u64) {
-        let mut p = 0;
-        while carry != 0 && p < n_planes {
-            let slot = &mut planes[p * words + w];
-            let t = *slot;
-            *slot = t ^ carry;
-            carry &= t;
-            p += 1;
-        }
-        debug_assert_eq!(carry, 0, "carry overflow: planes under-reserved");
-    }
-
-    /// Fused bind-and-accumulate: XORs `value` with `key` word-by-word
-    /// and adds the bound vector's bits to the per-dimension counters,
-    /// without materializing the bound hypervector.
-    ///
-    /// Equivalent to `acc.add(&value.xor(key)?)?` on the scalar
-    /// reference, at a small fraction of the cost.
+    /// Fused bind-and-accumulate of one pair: the one-pair case of
+    /// [`bind_accumulate_all`](Self::bind_accumulate_all), equivalent to
+    /// `acc.add(&value.xor(key)?)?` on the scalar reference.
     ///
     /// # Errors
     ///
     /// Returns [`DimensionMismatchError`] if either operand's
-    /// dimensionality differs from the bundler's.
+    /// dimensionality differs from the bundler's; the bundler is then
+    /// unchanged.
     pub fn bind_accumulate(
         &mut self,
         value: &BitVector,
         key: &BitVector,
     ) -> Result<(), DimensionMismatchError> {
-        if value.dim() != self.dim || key.dim() != self.dim {
-            return Err(DimensionMismatchError {
-                left: self.dim,
-                right: if value.dim() != self.dim {
-                    value.dim()
-                } else {
-                    key.dim()
-                },
-            });
+        self.bind_accumulate_all([(value, key)])
+    }
+
+    /// Fused bind-and-accumulate of a whole list of `(value, key)`
+    /// pairs: XORs each value with its key word by word and adds the
+    /// bound vectors' bits to the per-dimension counters, without
+    /// materializing a bound hypervector. Equivalent to
+    /// `acc.add(&value.xor(key)?)?` per pair on the scalar reference.
+    ///
+    /// The pairs are taken eight at a time. Per word, a carry-save
+    /// tree adds a block's bound words into a 4-bit sum, and one
+    /// fixed-depth add puts that sum into every live plane: the same
+    /// operations whatever the bits are, with no branch on the data.
+    /// A single pair pays a whole block per word, so pass a list.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DimensionMismatchError`] at the first pair whose value
+    /// or key dimensionality differs from the bundler's. The pairs
+    /// before it have then been added; it and the rest have not.
+    pub fn bind_accumulate_all<'a>(
+        &mut self,
+        pairs: impl IntoIterator<Item = (&'a BitVector, &'a BitVector)>,
+    ) -> Result<(), DimensionMismatchError> {
+        let mut pairs = pairs.into_iter();
+        let mut block: [(&[u64], &[u64]); BLOCK] = [(&[], &[]); BLOCK];
+        loop {
+            let mut n = 0;
+            let mut mismatch = None;
+            for (value, key) in pairs.by_ref().take(BLOCK) {
+                if let Some(right) = [value.dim(), key.dim()]
+                    .into_iter()
+                    .find(|&d| d != self.dim)
+                {
+                    mismatch = Some(DimensionMismatchError {
+                        left: self.dim,
+                        right,
+                    });
+                    break;
+                }
+                block[n] = (value.as_words(), key.as_words());
+                n += 1;
+            }
+            if n > 0 {
+                self.add_block(&block[..n]);
+            }
+            if let Some(e) = mismatch {
+                return Err(e);
+            }
+            if n < BLOCK {
+                return Ok(());
+            }
         }
-        self.reserve_next();
-        for (w, (&v, &k)) in value.as_words().iter().zip(key.as_words()).enumerate() {
-            Self::ripple(&mut self.planes, self.words, self.n_planes, w, v ^ k);
+    }
+
+    /// Adds a block of at most [`BLOCK`] bound pairs to the counters.
+    fn add_block(&mut self, pairs: &[(&[u64], &[u64])]) {
+        // A pair of one slice with itself binds to zero: padding a
+        // short block with it adds nothing, so every block runs the
+        // same eight-input tree.
+        let words = self.words;
+        let pad = (pairs[0].0, pairs[0].0);
+        let block: [(&[u64], &[u64]); BLOCK] = std::array::from_fn(|i| {
+            let (value, key) = pairs.get(i).copied().unwrap_or(pad);
+            (&value[..words], &key[..words])
+        });
+        self.count += pairs.len();
+        // Planes to hold the new count: ⌈log₂(count + 1)⌉.
+        self.n_planes = (usize::BITS - self.count.leading_zeros()) as usize;
+        if self.planes.len() < self.n_planes * words {
+            self.planes.resize(self.n_planes * words, 0);
         }
-        self.count += 1;
-        Ok(())
+        let live = &mut self.planes[..self.n_planes * words];
+        for w in 0..words {
+            let x: [u64; BLOCK] = std::array::from_fn(|i| block[i].0[w] ^ block[i].1[w]);
+            let sum = carry_save_sum(x);
+            // Ripple-carry add of the 4-bit sum, through every plane.
+            let mut carry = 0;
+            for (p, plane) in live.chunks_exact_mut(words).enumerate() {
+                let s = sum.get(p).copied().unwrap_or(0);
+                let t = plane[w];
+                plane[w] = t ^ s ^ carry;
+                carry = (t & s) | (carry & (t ^ s));
+            }
+            debug_assert_eq!(carry, 0, "carry overflow: planes under-reserved");
+        }
     }
 
     /// The ones count of one dimension (test/diagnostic read-out; the

@@ -40,6 +40,7 @@ mod kernels;
 mod rng;
 mod serial;
 mod simd;
+mod sweep;
 
 pub use accum::Accumulator;
 pub use bitvec::{BitVector, Bits};
@@ -53,3 +54,4 @@ pub use kernels::{
 pub use rng::{HdcRng, SeedableRng};
 pub use serial::SerialError;
 pub use simd::{active_backend, detected_backend, SimdBackend};
+pub use sweep::{gradient_sweep, gradient_sweep_on, GradientCounts, SweepCodes};

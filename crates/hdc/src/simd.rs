@@ -1,5 +1,5 @@
-//! Runtime-dispatched word kernels: XOR+popcount and the stochastic
-//! mask stream.
+//! Runtime-dispatched word kernels: XOR+popcount, the stochastic
+//! mask stream and the HD-HOG pixel sweep.
 //!
 //! All Hamming-distance work in this crate bottoms out in one
 //! primitive: XOR two equal-length `u64` slices and count the set
@@ -11,19 +11,26 @@
 //! come from the same dispatch: eight interleaved xoshiro256++ lanes,
 //! stepped eight words at a time in one 512-bit register on AVX-512,
 //! in two 256-bit registers on AVX2, and one lane pair at a time
-//! elsewhere.
+//! elsewhere. The gradient sweep behind
+//! [`gradient_sweep`](crate::gradient_sweep) fuses one pixel of the
+//! cell pass into a single pass over the D bits: it steps both ½
+//! masks' lanes in registers, forms each gradient word from them and
+//! takes every count the pixel reads as it goes.
 //!
 //! Three backends can be active on x86_64 ([`SimdBackend`]):
 //!
 //! - **`Avx512`** (`avx512f` + `avx512dq` + the AVX2 set below): the
-//!   512-bit mask kernel. Hamming queries keep the AVX2 kernels, so
-//!   similarity search is unchanged on these CPUs.
-//! - **`Avx2`** (`avx2` + `popcnt`): the 256-bit mask kernel and the
-//!   nibble-LUT Hamming kernels.
+//!   512-bit mask kernel, and the 512-bit sweep where
+//!   `avx512vpopcntdq` is found too — that feature has its own probe,
+//!   and a CPU without it runs the AVX2 sweep. Hamming queries keep
+//!   the AVX2 kernels, so similarity search is unchanged on these
+//!   CPUs.
+//! - **`Avx2`** (`avx2` + `popcnt`): the 256-bit mask kernel and sweep
+//!   and the nibble-LUT Hamming kernels.
 //! - **`Scalar`**: portable loops; always available.
 //!
-//! aarch64 has `Neon` (Hamming only; its masks use the scalar
-//! kernel) and `Scalar`.
+//! aarch64 has `Neon` (Hamming only; its masks and sweep use the
+//! scalar kernels) and `Scalar`.
 //!
 //! Dispatch policy:
 //!
@@ -44,7 +51,9 @@
 //! stream is defined lane by lane (word `j` of every digit pass comes
 //! from lane `j mod 8`), so stepping the lanes side by side or one
 //! after another yields the same words; `tests/mask_stream_proptest.rs`
-//! pins that word for word on every backend the CPU supports.
+//! pins that word for word on every backend the CPU supports. The
+//! sweep's masks are those words and its outputs are counts, so
+//! `tests/sweep_proptest.rs` holds every sweep to the unfused ops.
 //!
 //! This is the only module in the crate allowed to use `unsafe`: the
 //! intrinsics require it, and each call site documents why it is
@@ -54,21 +63,24 @@
 
 use std::sync::OnceLock;
 
-/// Which word-kernel implementation services Hamming queries and
-/// stochastic mask generation.
+use crate::bundler::full_add;
+
+/// Which word-kernel implementation services Hamming queries,
+/// stochastic mask generation and the pixel sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdBackend {
     /// Portable word-at-a-time loops; always available.
     Scalar,
     /// 256-bit AVX2: nibble-LUT popcount and a two-register mask
-    /// stream (x86_64 only).
+    /// stream and sweep (x86_64 only).
     Avx2,
     /// 512-bit AVX-512 (`avx512f` + `avx512dq`) mask stream, all eight
-    /// lanes in one register; Hamming queries keep the AVX2 kernels
-    /// (x86_64 only).
+    /// lanes in one register, and the 512-bit VPOPCNTDQ sweep where
+    /// `avx512vpopcntdq` is detected (the AVX2 sweep otherwise);
+    /// Hamming queries keep the AVX2 kernels (x86_64 only).
     Avx512,
-    /// 128-bit NEON `vcnt`-based popcount; masks use the scalar
-    /// kernel (aarch64 only).
+    /// 128-bit NEON `vcnt`-based popcount; masks and the sweep use the
+    /// scalar kernels (aarch64 only).
     Neon,
 }
 
@@ -451,7 +463,7 @@ unsafe fn hamming_words_neon(a: &[u64], b: &[u64]) -> u64 {
 /// Number of interleaved xoshiro256++ generators behind the mask
 /// stream: one 512-bit register's (two 256-bit registers') worth of
 /// 64-bit lanes.
-const MASK_LANES: usize = 8;
+pub(crate) const MASK_LANES: usize = 8;
 
 /// splitmix64's state increment.
 const SPLITMIX_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -648,6 +660,31 @@ unsafe fn splitmix64_mix_x4(z: std::arch::x86_64::__m256i) -> std::arch::x86_64:
     }
 }
 
+/// Lanes `first..first + 4` of the mask stream from `seed`, seeded in
+/// place: register `k` holds state word `k` of the four lanes
+/// ([`mask_lane_state`]), the splitmix64 mix run on all four at once.
+///
+/// # Safety
+///
+/// Callers must ensure the CPU supports `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn mask_lanes_x4(seed: u64, first: usize) -> [std::arch::x86_64::__m256i; 4] {
+    use std::arch::x86_64::*;
+
+    let seeds = _mm256_set1_epi64x(seed as i64);
+    std::array::from_fn(|k| {
+        let step = |l: usize| splitmix64_state(0, 4 * (first + l) + k + 1) as i64;
+        let z = _mm256_add_epi64(
+            seeds,
+            _mm256_setr_epi64x(step(0), step(1), step(2), step(3)),
+        );
+        // SAFETY: avx2 is guaranteed by this function's contract.
+        unsafe { splitmix64_mix_x4(z) }
+    })
+}
+
 /// AVX2 mask kernel: lanes 0–3 live in `lo`, lanes 4–7 in `hi`, so
 /// one step of both yields the eight words `j..j + 8` of a pass. A
 /// ragged tail of `rem < 8` words steps every lane but keeps the new
@@ -663,22 +700,8 @@ unsafe fn splitmix64_mix_x4(z: std::arch::x86_64::__m256i) -> std::arch::x86_64:
 unsafe fn density_mask_avx2(seed: u64, q: u32, bits: u32, words: &mut [u64]) {
     use std::arch::x86_64::*;
 
-    // Register k holds state word k of four lanes, seeded in place:
-    // the splitmix64 mix runs on all four at once.
-    let seeds = _mm256_set1_epi64x(seed as i64);
-    let seed_lanes = |first: usize| -> [__m256i; 4] {
-        std::array::from_fn(|k| {
-            let step = |l: usize| splitmix64_state(0, 4 * (first + l) + k + 1) as i64;
-            let z = _mm256_add_epi64(
-                seeds,
-                _mm256_setr_epi64x(step(0), step(1), step(2), step(3)),
-            );
-            // SAFETY: avx2 is guaranteed by this function's contract.
-            unsafe { splitmix64_mix_x4(z) }
-        })
-    };
-    let mut lo = seed_lanes(0);
-    let mut hi = seed_lanes(4);
+    // SAFETY: avx2 is guaranteed by this function's contract.
+    let (mut lo, mut hi) = unsafe { (mask_lanes_x4(seed, 0), mask_lanes_x4(seed, 4)) };
 
     let full = words.len() / MASK_LANES * MASK_LANES;
     let rem = words.len() - full;
@@ -756,6 +779,46 @@ unsafe fn xoshiro_next_x8(s: &mut [std::arch::x86_64::__m512i; 4]) -> std::arch:
     result
 }
 
+/// The eight lanes of the mask stream from `seed`, seeded in place:
+/// element `l` of register `k` is splitmix64 output `4l + k + 1` of
+/// the walk from `seed` ([`mask_lane_state`]), mixed eight lanes at a
+/// time with native 64-bit multiplies.
+///
+/// # Safety
+///
+/// Callers must ensure the CPU supports `avx512f` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+#[inline]
+unsafe fn mask_lanes_x8(seed: u64) -> [std::arch::x86_64::__m512i; 4] {
+    use std::arch::x86_64::*;
+
+    let seeds = _mm512_set1_epi64(seed as i64);
+    let mix = |z: __m512i| {
+        let m1 = _mm512_set1_epi64(SPLITMIX_M1 as i64);
+        let m2 = _mm512_set1_epi64(SPLITMIX_M2 as i64);
+        let z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64::<30>(z)), m1);
+        let z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64::<27>(z)), m2);
+        _mm512_xor_si512(z, _mm512_srli_epi64::<31>(z))
+    };
+    std::array::from_fn(|k| {
+        let step = |l: usize| splitmix64_state(0, 4 * l + k + 1) as i64;
+        mix(_mm512_add_epi64(
+            seeds,
+            _mm512_setr_epi64(
+                step(0),
+                step(1),
+                step(2),
+                step(3),
+                step(4),
+                step(5),
+                step(6),
+                step(7),
+            ),
+        ))
+    })
+}
+
 /// AVX-512 mask kernel: register `k` holds state word `k` of all eight
 /// lanes, so one step yields the eight words `j..j + 8` of a pass and
 /// one load/combine/store writes them. A ragged tail of `rem < 8`
@@ -772,33 +835,9 @@ unsafe fn xoshiro_next_x8(s: &mut [std::arch::x86_64::__m512i; 4]) -> std::arch:
 unsafe fn density_mask_avx512(seed: u64, q: u32, bits: u32, words: &mut [u64]) {
     use std::arch::x86_64::*;
 
-    // Seed in place: element l of register k is splitmix64 output
-    // 4l + k + 1 of the walk from `seed`, mixed eight lanes at a time
-    // with native 64-bit multiplies.
-    let seeds = _mm512_set1_epi64(seed as i64);
-    let mix = |z: __m512i| {
-        let m1 = _mm512_set1_epi64(SPLITMIX_M1 as i64);
-        let m2 = _mm512_set1_epi64(SPLITMIX_M2 as i64);
-        let z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64::<30>(z)), m1);
-        let z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64::<27>(z)), m2);
-        _mm512_xor_si512(z, _mm512_srli_epi64::<31>(z))
-    };
-    let mut s: [__m512i; 4] = std::array::from_fn(|k| {
-        let step = |l: usize| splitmix64_state(0, 4 * l + k + 1) as i64;
-        mix(_mm512_add_epi64(
-            seeds,
-            _mm512_setr_epi64(
-                step(0),
-                step(1),
-                step(2),
-                step(3),
-                step(4),
-                step(5),
-                step(6),
-                step(7),
-            ),
-        ))
-    });
+    // SAFETY: avx512f and avx512dq are guaranteed by this function's
+    // contract.
+    let mut s = unsafe { mask_lanes_x8(seed) };
 
     let full = words.len() / MASK_LANES * MASK_LANES;
     let rem = words.len() - full;
@@ -840,6 +879,387 @@ unsafe fn density_mask_avx512(seed: u64, q: u32, bits: u32, words: &mut [u64]) {
             }
         }
     }
+}
+
+/// Boundary codes one kernel call sweeps: each keeps two count
+/// accumulators live for the whole pass, so a longer list is swept in
+/// chunks of this many (see [`crate::SweepCodes`]).
+pub(crate) const SWEEP_CODES_PER_PASS: usize = 8;
+
+/// What one pass of the gradient sweep reads. Every slice but `codes`
+/// is the operands' word count long.
+pub(crate) struct SweepInput<'a> {
+    /// The seeds of the `Gx` and `Gy` ½ masks, as
+    /// [`density_mask_into_with`] takes them.
+    pub(crate) seeds: [u64; 2],
+    /// `[a, b, c, d]`: `Gx = sub_halved(a, b)`, `Gy = sub_halved(c, d)`.
+    pub(crate) operands: [&'a [u64]; 4],
+    /// `V₁`.
+    pub(crate) basis: &'a [u64],
+    /// The valid bits of the final word.
+    pub(crate) tail: u64,
+    /// At most [`SWEEP_CODES_PER_PASS`] codes, group-interleaved: word
+    /// `8g + j` of code `k` is `codes[(g·n + k)·8 + j]` for `n` codes,
+    /// zero past the last word up to a whole 8-word group.
+    pub(crate) codes: &'a [u64],
+    /// Whether code `k` is compared against `Gy` (else `Gx`).
+    pub(crate) against_gy: &'a [bool],
+}
+
+/// One pixel's gradient sweep on an explicit backend: the two ½ masks'
+/// words are generated in registers exactly as
+/// [`density_mask_into_with`] generates them, each gradient word is
+/// `(a ∧ m) ∨ ¬(b ∨ m)` — `select(a, b, m) ⊕ ¬m`, which is what
+/// `sub_halved_into` leaves — and every count is taken in the same
+/// pass. Returns `[h(Gx, V₁), h(Gy, V₁), h(Gx, Gy)]` and writes
+/// `[h(code, G), h(code, Gx ⊗ Gy)]` for each code into `code_counts`,
+/// with `G` the gradient the code is compared against and
+/// `Gx ⊗ Gy = Gx ⊕ Gy ⊕ V₁`. Falls back like [`hamming_words_with`];
+/// AVX-512 needs its own `avx512vpopcntdq` probe, and an AVX-512 CPU
+/// without it runs the AVX2 sweep.
+pub(crate) fn gradient_sweep_with(
+    backend: SimdBackend,
+    input: &SweepInput<'_>,
+    code_counts: &mut [[u64; 2]],
+) -> [u64; 3] {
+    debug_assert_eq!(code_counts.len(), input.against_gy.len());
+    debug_assert!(code_counts.len() <= SWEEP_CODES_PER_PASS);
+    debug_assert_eq!(
+        input.codes.len(),
+        input.basis.len().div_ceil(MASK_LANES) * MASK_LANES * code_counts.len()
+    );
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        SimdBackend::Avx512 if avx512_sweep_detected() => {
+            // SAFETY: avx512f, avx512dq and avx512vpopcntdq were just
+            // runtime-detected.
+            unsafe { gradient_sweep_avx512(input, code_counts) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        SimdBackend::Avx2 | SimdBackend::Avx512 if std::arch::is_x86_feature_detected!("avx2") => {
+            // SAFETY: avx2 was just runtime-detected.
+            unsafe { gradient_sweep_avx2(input, code_counts) }
+        }
+        _ => gradient_sweep_scalar(input, code_counts),
+    }
+}
+
+/// The AVX-512 sweep's features: the mask kernel's set plus
+/// `avx512vpopcntdq`, probed on its own.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx512_sweep_detected() -> bool {
+    avx512_detected() && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
+}
+
+/// One word of `sub_halved(a, b)` under mask word `m`: `a` where the
+/// mask is set, `¬b` where it is clear.
+#[inline]
+fn sub_halved_word(a: u64, b: u64, m: u64) -> u64 {
+    (a & m) | !(b | m)
+}
+
+/// A running popcount over 8-word groups (Harley–Seal): full adders
+/// carry each group's bits into `ones`, `twos` and `fours` planes, and
+/// only the overflow into eights is popcounted, one count per group
+/// instead of eight — the portable sweep's seven counts per word would
+/// otherwise be most of its work.
+#[derive(Clone, Copy, Default)]
+struct GroupPopcount {
+    ones: u64,
+    twos: u64,
+    fours: u64,
+    eights: u64,
+}
+
+impl GroupPopcount {
+    #[inline]
+    fn add(&mut self, x: [u64; MASK_LANES]) {
+        let (ones, twos_a) = full_add(self.ones, x[0], x[1]);
+        let (ones, twos_b) = full_add(ones, x[2], x[3]);
+        let (twos, fours_a) = full_add(self.twos, twos_a, twos_b);
+        let (ones, twos_a) = full_add(ones, x[4], x[5]);
+        let (ones, twos_b) = full_add(ones, x[6], x[7]);
+        let (twos, fours_b) = full_add(twos, twos_a, twos_b);
+        let (fours, eights) = full_add(self.fours, fours_a, fours_b);
+        (self.ones, self.twos, self.fours) = (ones, twos, fours);
+        self.eights += u64::from(eights.count_ones());
+    }
+
+    fn total(&self) -> u64 {
+        let pop = |x: u64| u64::from(x.count_ones());
+        8 * self.eights + 4 * pop(self.fours) + 2 * pop(self.twos) + pop(self.ones)
+    }
+}
+
+/// Portable sweep, one 8-word group at a time: word `j` of a group
+/// takes the next output of lane `j` of each mask, as the mask kernels
+/// do. The final group is read into zero-padded copies, and its
+/// gradients keep only the valid bits, so padding counts nothing.
+fn gradient_sweep_scalar(input: &SweepInput<'_>, code_counts: &mut [[u64; 2]]) -> [u64; 3] {
+    let [a, b, c, d] = input.operands;
+    let words = a.len();
+    let n = input.against_gy.len();
+    let lanes =
+        |seed: u64| -> [[u64; 4]; MASK_LANES] { std::array::from_fn(|l| mask_lane_state(seed, l)) };
+    let (mut x_lanes, mut y_lanes) = (lanes(input.seeds[0]), lanes(input.seeds[1]));
+    let mut counts = [GroupPopcount::default(); 3];
+    let mut code_sums = [[GroupPopcount::default(); 2]; SWEEP_CODES_PER_PASS];
+    for g in 0..words.div_ceil(MASK_LANES) {
+        let at = g * MASK_LANES;
+        let group = |s: &[u64]| -> [u64; MASK_LANES] {
+            match s.get(at..at + MASK_LANES) {
+                Some(whole) => whole.try_into().expect("8 words"),
+                None => std::array::from_fn(|j| s.get(at + j).copied().unwrap_or(0)),
+            }
+        };
+        let valid: [u64; MASK_LANES] = if at + MASK_LANES < words {
+            [u64::MAX; MASK_LANES]
+        } else {
+            std::array::from_fn(|j| match (at + j + 1).cmp(&words) {
+                std::cmp::Ordering::Less => u64::MAX,
+                std::cmp::Ordering::Equal => input.tail,
+                std::cmp::Ordering::Greater => 0,
+            })
+        };
+        let (a, b, c, d, v) = (group(a), group(b), group(c), group(d), group(input.basis));
+        let gx: [u64; MASK_LANES] = std::array::from_fn(|j| {
+            sub_halved_word(a[j], b[j], xoshiro_next(&mut x_lanes[j])) & valid[j]
+        });
+        let gy: [u64; MASK_LANES] = std::array::from_fn(|j| {
+            sub_halved_word(c[j], d[j], xoshiro_next(&mut y_lanes[j])) & valid[j]
+        });
+        let xor = |p: &[u64; MASK_LANES], q: &[u64]| std::array::from_fn(|j| p[j] ^ q[j]);
+        counts[0].add(xor(&gx, &v));
+        counts[1].add(xor(&gy, &v));
+        counts[2].add(xor(&gx, &gy));
+        let gxy = xor(&xor(&gx, &gy), &v);
+        let codes = &input.codes[g * n * MASK_LANES..(g + 1) * n * MASK_LANES];
+        for ((sums, &against_gy), code) in code_sums
+            .iter_mut()
+            .zip(input.against_gy)
+            .zip(codes.chunks_exact(MASK_LANES))
+        {
+            let g = if against_gy { &gy } else { &gx };
+            sums[0].add(xor(g, code));
+            sums[1].add(xor(&gxy, code));
+        }
+    }
+    for (out, sums) in code_counts.iter_mut().zip(code_sums) {
+        *out = [sums[0].total(), sums[1].total()];
+    }
+    counts.map(|c| c.total())
+}
+
+/// AVX2 sweep: lanes 0–3 of both masks first, over words `8g..8g + 4`
+/// of every group, then lanes 4–7 over the other half, so only one
+/// half's eight state registers are live at a time (the counts are
+/// sums, so the order cannot change them). Popcounts use the nibble
+/// lookup of [`hamming_words_avx2`]. The final group is read with
+/// masked loads, and its gradients keep only the valid bits.
+///
+/// # Safety
+///
+/// Callers must ensure the CPU supports `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gradient_sweep_avx2(input: &SweepInput<'_>, code_counts: &mut [[u64; 2]]) -> [u64; 3] {
+    use std::arch::x86_64::*;
+
+    let [a, b, c, d] = input.operands;
+    let words = a.len();
+    let n = input.against_gy.len();
+    #[rustfmt::skip]
+    let lut = _mm256_setr_epi8(
+        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+    );
+    let low_mask = _mm256_set1_epi8(0x0f);
+    let ones = _mm256_set1_epi64x(-1);
+    let zero = _mm256_setzero_si256();
+    // Adds the popcount of each 64-bit element of `x` to `acc`.
+    let count = |acc: &mut __m256i, x: __m256i| {
+        let lo = _mm256_shuffle_epi8(lut, _mm256_and_si256(x, low_mask));
+        let hi = _mm256_shuffle_epi8(lut, _mm256_and_si256(_mm256_srli_epi16::<4>(x), low_mask));
+        *acc = _mm256_add_epi64(*acc, _mm256_sad_epu8(_mm256_add_epi8(lo, hi), zero));
+    };
+    let sub_halved = |a: __m256i, b: __m256i, m: __m256i| {
+        _mm256_or_si256(
+            _mm256_and_si256(a, m),
+            _mm256_andnot_si256(_mm256_or_si256(b, m), ones),
+        )
+    };
+    // SAFETY: the slice holds the 4 words; loads are unaligned.
+    let load = |s: &[u64], at: usize| unsafe { _mm256_loadu_si256(s[at..at + 4].as_ptr().cast()) };
+
+    let mut acc = [zero; 3];
+    let mut code_acc = [[zero; 2]; SWEEP_CODES_PER_PASS];
+    let groups = words.div_ceil(MASK_LANES);
+    for half in [0, 4] {
+        // SAFETY: avx2 is guaranteed by this function's contract.
+        let (mut sx, mut sy) = unsafe {
+            (
+                mask_lanes_x4(input.seeds[0], half),
+                mask_lanes_x4(input.seeds[1], half),
+            )
+        };
+        for g in 0..groups {
+            let at = g * MASK_LANES + half;
+            if at >= words {
+                break;
+            }
+            // SAFETY: avx2 is guaranteed by this function's contract.
+            let (mx, my) = unsafe { (xoshiro_next_x4(&mut sx), xoshiro_next_x4(&mut sy)) };
+            let (gx, gy, v);
+            if g + 1 < groups {
+                gx = sub_halved(load(a, at), load(b, at), mx);
+                gy = sub_halved(load(c, at), load(d, at), my);
+                v = load(input.basis, at);
+            } else {
+                let live = (words - at).min(4);
+                let lane = _mm256_setr_epi64x(0, 1, 2, 3);
+                let live_lanes = _mm256_cmpgt_epi64(_mm256_set1_epi64x(live as i64), lane);
+                // SAFETY: the mask enables exactly the `live` words
+                // present from `at`; masked-off elements are not read.
+                let padded = |s: &[u64]| unsafe {
+                    _mm256_maskload_epi64(s[at..].as_ptr().cast(), live_lanes)
+                };
+                // All ones in the live words, the final word's valid
+                // bits in its lane, built in registers.
+                let last = if at + live == words {
+                    input.tail
+                } else {
+                    u64::MAX
+                };
+                let is_last = _mm256_cmpeq_epi64(lane, _mm256_set1_epi64x(live as i64 - 1));
+                let valid =
+                    _mm256_blendv_epi8(live_lanes, _mm256_set1_epi64x(last as i64), is_last);
+                gx = _mm256_and_si256(sub_halved(padded(a), padded(b), mx), valid);
+                gy = _mm256_and_si256(sub_halved(padded(c), padded(d), my), valid);
+                v = padded(input.basis);
+            }
+            count(&mut acc[0], _mm256_xor_si256(gx, v));
+            count(&mut acc[1], _mm256_xor_si256(gy, v));
+            count(&mut acc[2], _mm256_xor_si256(gx, gy));
+            let gxy = _mm256_xor_si256(_mm256_xor_si256(gx, gy), v);
+            for (k, (sums, &against_gy)) in code_acc.iter_mut().zip(input.against_gy).enumerate() {
+                let code = load(input.codes, (g * n + k) * MASK_LANES + half);
+                let g = if against_gy { gy } else { gx };
+                count(&mut sums[0], _mm256_xor_si256(code, g));
+                count(&mut sums[1], _mm256_xor_si256(code, gxy));
+            }
+        }
+    }
+    let total = |x: __m256i| {
+        let mut lanes = [0u64; 4];
+        // SAFETY: `lanes` is 32 bytes; store is unaligned.
+        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), x) };
+        lanes.iter().sum::<u64>()
+    };
+    for (out, sums) in code_counts.iter_mut().zip(code_acc) {
+        *out = [total(sums[0]), total(sums[1])];
+    }
+    acc.map(total)
+}
+
+/// AVX-512 sweep: one register per mask holds all eight lanes, so each
+/// 8-word group is one step of each, one ternary-logic op per gradient
+/// and a VPOPCNTDQ count per distance. The final group is read with
+/// masked loads, and its gradients keep only the valid bits.
+///
+/// # Safety
+///
+/// Callers must ensure the CPU supports `avx512f`, `avx512dq` and
+/// `avx512vpopcntdq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vpopcntdq")]
+unsafe fn gradient_sweep_avx512(input: &SweepInput<'_>, code_counts: &mut [[u64; 2]]) -> [u64; 3] {
+    use std::arch::x86_64::*;
+
+    /// `ternarylogic` table of `m ? a : ¬b` over `(a, b, m)`.
+    const SUB_HALVED: i32 = 0xb1;
+    /// `ternarylogic` table of `a ⊕ b ⊕ c`.
+    const XOR3: i32 = 0x96;
+
+    let [a, b, c, d] = input.operands;
+    let words = a.len();
+    let n = input.against_gy.len();
+    let zero = _mm512_setzero_si512();
+    let mut acc = [zero; 3];
+    let mut code_acc = [[zero; 2]; SWEEP_CODES_PER_PASS];
+    // SAFETY: avx512f and avx512dq are guaranteed by this function's
+    // contract.
+    let (mut sx, mut sy) =
+        unsafe { (mask_lanes_x8(input.seeds[0]), mask_lanes_x8(input.seeds[1])) };
+    let mut sweep = |ops: [__m512i; 4], v: __m512i, valid: __m512i, codes: &[u64]| {
+        // SAFETY: avx512f is guaranteed by this function's contract.
+        let (mx, my) = unsafe { (xoshiro_next_x8(&mut sx), xoshiro_next_x8(&mut sy)) };
+        let gx = _mm512_and_si512(
+            _mm512_ternarylogic_epi64::<SUB_HALVED>(ops[0], ops[1], mx),
+            valid,
+        );
+        let gy = _mm512_and_si512(
+            _mm512_ternarylogic_epi64::<SUB_HALVED>(ops[2], ops[3], my),
+            valid,
+        );
+        let count = |acc: &mut __m512i, x: __m512i| {
+            *acc = _mm512_add_epi64(*acc, _mm512_popcnt_epi64(x));
+        };
+        count(&mut acc[0], _mm512_xor_si512(gx, v));
+        count(&mut acc[1], _mm512_xor_si512(gy, v));
+        count(&mut acc[2], _mm512_xor_si512(gx, gy));
+        let gxy = _mm512_ternarylogic_epi64::<XOR3>(gx, gy, v);
+        for (k, (sums, &against_gy)) in code_acc.iter_mut().zip(input.against_gy).enumerate() {
+            // SAFETY: a code's group is 8 words of `codes`; the load is
+            // unaligned.
+            let code = unsafe {
+                _mm512_loadu_si512(codes[k * MASK_LANES..][..MASK_LANES].as_ptr().cast())
+            };
+            let g = if against_gy { gy } else { gx };
+            count(&mut sums[0], _mm512_xor_si512(code, g));
+            count(&mut sums[1], _mm512_xor_si512(code, gxy));
+        }
+    };
+
+    let groups = words.div_ceil(MASK_LANES);
+    let group_codes = |g: usize| &input.codes[g * n * MASK_LANES..(g + 1) * n * MASK_LANES];
+    for g in 0..groups.saturating_sub(1) {
+        let at = g * MASK_LANES;
+        // SAFETY: a group before the last holds 8 words of every
+        // operand; loads are unaligned.
+        let load =
+            |s: &[u64]| unsafe { _mm512_loadu_si512(s[at..at + MASK_LANES].as_ptr().cast()) };
+        let ops = [load(a), load(b), load(c), load(d)];
+        sweep(
+            ops,
+            load(input.basis),
+            _mm512_set1_epi64(-1),
+            group_codes(g),
+        );
+    }
+    if groups > 0 {
+        let at = (groups - 1) * MASK_LANES;
+        let live = words - at;
+        let lanes: __mmask8 = (1u16 << live).wrapping_sub(1) as u8;
+        // SAFETY: the mask enables exactly the `live` words present
+        // from `at`; masked-off elements are not read.
+        let load = |s: &[u64]| unsafe { _mm512_maskz_loadu_epi64(lanes, s[at..].as_ptr().cast()) };
+        // All ones in the live words, the final word's valid bits in
+        // the last: built in registers, as a store-and-load or a fill
+        // here cost more than the whole group.
+        let ones = _mm512_maskz_mov_epi64(lanes, _mm512_set1_epi64(-1));
+        let last: __mmask8 = 1 << (live - 1);
+        let valid = _mm512_mask_mov_epi64(ones, last, _mm512_set1_epi64(input.tail as i64));
+        let ops = [load(a), load(b), load(c), load(d)];
+        sweep(ops, load(input.basis), valid, group_codes(groups - 1));
+    }
+    for (out, sums) in code_counts.iter_mut().zip(code_acc) {
+        *out = [
+            _mm512_reduce_add_epi64(sums[0]) as u64,
+            _mm512_reduce_add_epi64(sums[1]) as u64,
+        ];
+    }
+    acc.map(|x| _mm512_reduce_add_epi64(x) as u64)
 }
 
 #[cfg(test)]

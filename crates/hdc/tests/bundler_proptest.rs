@@ -139,3 +139,117 @@ proptest! {
         prop_assert_eq!(BitVector::from_bools(&bools), out);
     }
 }
+
+/// `count` random `(value, key)` pairs of dimension `dim`.
+fn random_pairs(dim: usize, count: usize, rng: &mut HdcRng) -> Vec<(BitVector, BitVector)> {
+    (0..count)
+        .map(|_| (BitVector::random(dim, rng), BitVector::random(dim, rng)))
+        .collect()
+}
+
+/// Holds a bundler to the `Accumulator` fed the same pairs: count,
+/// live planes (⌈log₂(count + 1)⌉), every ones count, the
+/// deterministic threshold, and the random threshold with the state it
+/// leaves the tie-break RNG in.
+fn assert_matches_reference(
+    b: &BitSlicedBundler,
+    acc: &Accumulator,
+    tseed: u64,
+) -> Result<(), String> {
+    let count = acc.count();
+    prop_assert_eq!(b.count(), count);
+    prop_assert_eq!(b.planes(), (usize::BITS - count.leading_zeros()) as usize);
+    for i in 0..acc.dim() {
+        let ones = (acc.component(i) + count as f64) / 2.0;
+        prop_assert!(b.ones_count(i) as f64 == ones, "dimension {}", i);
+    }
+    prop_assert_eq!(b.threshold_deterministic(), acc.threshold_deterministic());
+    let mut kernel_rng = HdcRng::seed_from_u64(tseed);
+    let mut scalar_rng = HdcRng::seed_from_u64(tseed);
+    prop_assert_eq!(b.threshold(&mut kernel_rng), acc.threshold(&mut scalar_rng));
+    prop_assert_eq!(kernel_rng.next_u64(), scalar_rng.next_u64());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whole lists through `bind_accumulate_all`, one to three batches
+    /// in a row of 0–40 pairs each: lengths straddle the eight-pair
+    /// block and every plane-growth count 2ᵏ − 1, and a later batch
+    /// starts wherever the last one left the planes. After every batch
+    /// the planes read what the `Accumulator` reference holds, and a
+    /// bundler fed the same pairs one at a time agrees with both.
+    #[test]
+    fn batched_ingest_matches_the_reference(
+        dim in arb_dim(),
+        lengths in prop::collection::vec(0usize..=40, 1..=3),
+        pseed in any::<u64>(),
+        tseed in any::<u64>(),
+    ) {
+        let mut prng = HdcRng::seed_from_u64(pseed);
+        let mut batched = BitSlicedBundler::new(dim);
+        let mut one_by_one = BitSlicedBundler::new(dim);
+        let mut acc = Accumulator::new(dim);
+        for len in lengths {
+            let pairs = random_pairs(dim, len, &mut prng);
+            batched.bind_accumulate_all(pairs.iter().map(|(v, k)| (v, k))).unwrap();
+            for (v, k) in &pairs {
+                one_by_one.bind_accumulate(v, k).unwrap();
+                acc.add(&v.xor(k).unwrap()).unwrap();
+            }
+            assert_matches_reference(&batched, &acc, tseed)?;
+            assert_matches_reference(&one_by_one, &acc, tseed)?;
+        }
+    }
+
+    /// All-tie batches: every dimension holds exactly half the ones, so
+    /// the whole threshold is tie-break draws, for batch lengths on
+    /// both sides of the block size.
+    #[test]
+    fn batched_full_ties_resolve_identically(
+        dim in arb_dim(),
+        halves in prop::collection::vec(0usize..=20, 1..=3),
+        vseed in any::<u64>(),
+        tseed in any::<u64>(),
+    ) {
+        let mut vrng = HdcRng::seed_from_u64(vseed);
+        let mut b = BitSlicedBundler::new(dim);
+        let mut acc = Accumulator::new(dim);
+        let key = BitVector::random(dim, &mut vrng);
+        for half in halves {
+            let v = BitVector::random(dim, &mut vrng);
+            let nv = v.negated();
+            let batch: Vec<&BitVector> = (0..2 * half).map(|i| if i % 2 == 0 { &v } else { &nv }).collect();
+            b.bind_accumulate_all(batch.iter().map(|&x| (x, &key))).unwrap();
+            for x in &batch {
+                acc.add(&x.xor(&key).unwrap()).unwrap();
+            }
+            for i in 0..dim {
+                prop_assert_eq!(2 * b.ones_count(i), b.count());
+            }
+            assert_matches_reference(&b, &acc, tseed)?;
+        }
+    }
+}
+
+/// A mismatched pair stops the list there: the pairs before it are
+/// added, it and the ones after are not.
+#[test]
+fn a_mismatched_pair_stops_the_list() {
+    let mut rng = HdcRng::seed_from_u64(4);
+    let pairs = random_pairs(70, 12, &mut rng);
+    let short = BitVector::random(69, &mut rng);
+    for bad in [0usize, 3, 8, 11] {
+        let mut list: Vec<(&BitVector, &BitVector)> = pairs.iter().map(|(v, k)| (v, k)).collect();
+        list[bad].1 = &short;
+        let mut b = BitSlicedBundler::new(70);
+        assert!(b.bind_accumulate_all(list.iter().copied()).is_err());
+        let mut want = BitSlicedBundler::new(70);
+        want.bind_accumulate_all(list[..bad].iter().copied())
+            .unwrap();
+        assert_eq!(b.count(), bad);
+        assert_eq!(b.planes(), want.planes());
+        assert!((0..70).all(|i| b.ones_count(i) == want.ones_count(i)));
+    }
+}

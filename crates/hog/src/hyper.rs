@@ -32,13 +32,23 @@
 //!    slot key, and the bound slots are majority-bundled into a single
 //!    feature hypervector ready for HDC learning — "there is no need
 //!    for HDC encoding to map data points into high-dimension".
+//!
+//! Stages 2–4 read the gradients only through Hamming counts, so a
+//! pixel is one sweep over the D bits
+//! ([`StochasticContext::gradient_sweep`]): both ½ masks, both
+//! gradients, their product and every count the magnitude, quadrant
+//! and tan tests read come out of a single pass, and no vector of the
+//! pixel is stored. The magnitude and each tan test's sign are then
+//! drawn from their exact laws on those counts. Stage 6 bundles a
+//! window's bound slots as one list, eight at a time through a
+//! carry-save tree ([`BitSlicedBundler::bind_accumulate_all`]).
 
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLock, RwLockReadGuard};
 
-use hdface_hdc::{BitSlicedBundler, BitVector, HdcRng, SeedableRng};
+use hdface_hdc::{BitSlicedBundler, BitVector, HdcRng, SeedableRng, SweepCodes};
 use hdface_imaging::GrayImage;
 use hdface_stochastic::{derive_coord_seed, Shv, StochasticContext, StochasticError};
 
@@ -96,8 +106,7 @@ impl From<StochasticError> for HyperHogError {
 }
 
 /// Per-worker mutable extraction state: the stochastic-mask RNG
-/// stream, plus the reusable buffers the stochastic cell pass and the
-/// window bundler work in.
+/// stream, plus the reusable bundler windows are assembled in.
 ///
 /// Everything value-defining (basis, codebooks, slot keys) lives in
 /// the shared, read-only [`HyperHog`]; a `HogScratch` is the only
@@ -106,16 +115,13 @@ impl From<StochasticError> for HyperHogError {
 /// [`HyperHog::extract_with`]. Build one per work item with
 /// [`HyperHog::scratch_for_stream`] — the resulting feature depends
 /// only on the stream number, never on which thread ran it (the
-/// buffers carry no information from one use to the next).
+/// bundler carries no information from one use to the next).
 #[derive(Debug)]
 pub struct HogScratch {
     mask_rng: HdcRng,
     /// Reusable bit-sliced bundling kernel: reset per window, so the
     /// steady-state bind-and-accumulate loop never allocates.
     bundler: BitSlicedBundler,
-    /// The cell pass's working set, allocated by the first pass that
-    /// needs it (window assembly from a level cache never does).
-    arena: Option<CellArena>,
 }
 
 impl HogScratch {
@@ -123,52 +129,7 @@ impl HogScratch {
         HogScratch {
             mask_rng,
             bundler: BitSlicedBundler::new(0),
-            arena: None,
         }
-    }
-
-    /// The mask stream and the cell arena sized for `dim`, borrowed
-    /// together.
-    fn split(&mut self, dim: usize) -> (&mut HdcRng, &mut CellArena) {
-        if self.arena.as_ref().is_none_or(|a| a.mask.dim() != dim) {
-            self.arena = Some(CellArena::new(dim));
-        }
-        let arena = self.arena.as_mut().expect("sized above");
-        (&mut self.mask_rng, arena)
-    }
-}
-
-/// Every buffer one pixel of the cell pass writes: each draw lands in
-/// `mask`, each intermediate in its own vector. Nothing here outlives
-/// a pixel — every buffer is fully overwritten before it is read — so
-/// the pass allocates nothing per pixel and reuse cannot change a bit.
-#[derive(Debug)]
-struct CellArena {
-    /// The selection mask of the current draw.
-    mask: BitVector,
-    /// Halved central differences.
-    gx: Shv,
-    gy: Shv,
-    /// Their product `Gx ⊗ Gy`: every tan comparison reads one Hamming
-    /// count against it.
-    gxy: Shv,
-}
-
-impl CellArena {
-    fn new(dim: usize) -> Self {
-        CellArena {
-            mask: BitVector::zeros(dim),
-            gx: Shv::zeros(dim),
-            gy: Shv::zeros(dim),
-            gxy: Shv::zeros(dim),
-        }
-    }
-
-    /// `h(Gx, V₁)`, `h(Gy, V₁)` and `h(Gx, Gy)`: the counts the
-    /// magnitude's law and the quadrant read.
-    fn gradient_counts(&self, basis: &Shv) -> Result<(usize, usize, usize), StochasticError> {
-        let (gx, gy, basis) = (self.gx.as_bits(), self.gy.as_bits(), basis.as_bits());
-        Ok((gx.hamming(basis)?, gy.hamming(basis)?, gx.hamming(gy)?))
     }
 }
 
@@ -211,6 +172,8 @@ pub struct HyperHog {
     even_codes: Vec<BoundaryCode>,
     /// Boundary codes for odd quadrants (1, 3), increasing angle.
     odd_codes: Vec<BoundaryCode>,
+    /// The even codes then the odd ones, laid out for the pixel sweep.
+    sweep_codes: SweepCodes,
     /// Correlative level codebook spanning the slot value range
     /// `[0, LEVEL_RANGE_MAX]` in `L = SLOT_LEVELS` levels:
     /// `δ(levelᵢ, levelⱼ) = 1 − |i−j|/(L−1)`.
@@ -416,6 +379,14 @@ impl HyperHog {
             .map(|&(r, _)| make_code(-1.0 / r))
             .collect();
 
+        let sweep_layout: Vec<(&BitVector, bool)> = even_codes
+            .iter()
+            .chain(&odd_codes)
+            .map(|code| (code.shv.as_bits(), code.use_cot))
+            .collect();
+        let sweep_codes =
+            SweepCodes::new(config.dim, &sweep_layout).expect("codes have the context's D");
+
         // Slot levels flip a random half of the dimensions away from a
         // random low endpoint; pixel levels flip up to half of them
         // away from V₁ (white), on a second order.
@@ -440,6 +411,7 @@ impl HyperHog {
             boundaries,
             even_codes,
             odd_codes,
+            sweep_codes,
             level_codes,
             pixel_codes,
             slot_keys: RwLock::new(Vec::new()),
@@ -517,39 +489,35 @@ impl HyperHog {
     /// law ([`StochasticContext::sub_halved_is_non_negative_at`]) on
     /// three Hamming counts instead of building `α`: the other
     /// gradient's distance `hx` or `hy` from `V₁`,
-    /// `h(V_t ⊗ G, V₁) = h(V_t, G)`, and
-    /// `h(V_t ⊗ G, G') = h(V_t, Gx ⊗ Gy)`, read against the gradients
-    /// and their product in `arena`.
+    /// `h(V_t ⊗ G, V₁) = h(V_t, G)` and
+    /// `h(V_t ⊗ G, G') = h(V_t, Gx ⊗ Gy)` — the code's two counts from
+    /// the pixel's sweep, `[h_prod, across]`.
     fn tan_exceeds(
         &self,
         (hx, hy): (usize, usize),
         gx_non_neg: bool,
         code_even: bool,
         index: usize,
+        [h_prod, across]: [usize; 2],
         mask_rng: &mut HdcRng,
-        arena: &CellArena,
-    ) -> Result<bool, StochasticError> {
+    ) -> bool {
         let code = if code_even {
             &self.even_codes[index]
         } else {
             &self.odd_codes[index]
         };
-        let code_bits = code.shv.as_bits();
-        let across = code_bits.hamming(arena.gxy.as_bits())?;
         if code.use_cot {
             // α = (Gy·(1/t) − Gx)/2 ; sign(Gy − t·Gx) = sign(t)·sign(α).
-            let h_prod = code_bits.hamming(arena.gy.as_bits())?;
             let alpha_pos = self
                 .ctx
                 .sub_halved_is_non_negative_at(h_prod, hx, across, mask_rng);
-            Ok((alpha_pos == (code.t >= 0.0)) == gx_non_neg)
+            (alpha_pos == (code.t >= 0.0)) == gx_non_neg
         } else {
             // α = (Gy − t·Gx)/2 ; Gy/Gx > t ⟺ sign(α) = sign(Gx).
-            let h_prod = code_bits.hamming(arena.gx.as_bits())?;
             let alpha_pos = self
                 .ctx
                 .sub_halved_is_non_negative_at(hy, h_prod, across, mask_rng);
-            Ok(alpha_pos == gx_non_neg)
+            alpha_pos == gx_non_neg
         }
     }
 
@@ -559,10 +527,12 @@ impl HyperHog {
     /// `bins`-long slice). Pixels are read from the pixel codebook,
     /// clamped at the image border.
     ///
-    /// Every intermediate is written into the scratch's
-    /// [`CellArena`], so no pixel allocates. What would only be decoded
-    /// is never built: the magnitude `(|Gx| + |Gy|)/2` and each tan
-    /// comparison's `α` are drawn from their exact laws. RNG draws
+    /// A pixel is one [`StochasticContext::gradient_sweep`]: both
+    /// gradients' masks, the gradients themselves and every count the
+    /// pixel reads come out of a single pass over the D bits, and no
+    /// vector is stored. What would only be decoded is never built:
+    /// the magnitude `(|Gx| + |Gy|)/2` and each tan comparison's `α`
+    /// are drawn from their exact laws on those counts. RNG draws
     /// happen in a fixed order per pixel — gradients, magnitude, tan
     /// comparisons — which is all that defines the output bits.
     ///
@@ -577,40 +547,44 @@ impl HyperHog {
         x0: usize,
         y0: usize,
         sums: &mut [f64],
-        scratch: &mut HogScratch,
+        mask_rng: &mut HdcRng,
     ) -> Result<(), HyperHogError> {
         let at = |x: isize, y: isize| self.pixel_code(image, x, y);
         let c = self.config.hog.cell_size;
         let n_bounds = self.boundaries.tangents().len();
-        let (mask_rng, a) = scratch.split(self.config.dim);
         let ctx = &self.ctx;
+        // `[h(V_t, G), h(V_t, Gx ⊗ Gy)]` per code, even codes first.
+        let mut tan_counts = vec![[0usize; 2]; self.sweep_codes.len()];
         for py in 0..c {
             for px in 0..c {
                 let x = (x0 + px) as isize;
                 let y = (y0 + py) as isize;
 
-                // Gradient: halved central differences.
-                ctx.sub_halved_into(at(x + 1, y), at(x - 1, y), mask_rng, &mut a.mask, &mut a.gx)?;
-                ctx.sub_halved_into(at(x, y + 1), at(x, y - 1), mask_rng, &mut a.mask, &mut a.gy)?;
+                // Gradient: halved central differences, swept for
+                // their counts.
+                let g = ctx.gradient_sweep(
+                    [at(x + 1, y), at(x - 1, y)],
+                    [at(x, y + 1), at(x, y - 1)],
+                    &self.sweep_codes,
+                    mask_rng,
+                    &mut tan_counts,
+                )?;
 
                 // Magnitude: (|Gx| + |Gy|)/2, drawn from its law on the
                 // gradients' counts. Only its read-out is used, so it
                 // stays a distance from V₁.
-                let (hx, hy, hxy) = a.gradient_counts(ctx.basis())?;
-                let h = ctx.halved_abs_sum_distance_at(hx, hy, hxy, mask_rng);
+                let h = ctx.halved_abs_sum_distance_at(g.hx, g.hy, g.hxy, mask_rng);
                 let magnitude = ctx.value_at_distance(h);
 
                 // Angle bin: quadrant + tan comparisons.
-                let gx_pos = ctx.value_at_distance(hx) >= 0.0;
-                let gy_pos = ctx.value_at_distance(hy) >= 0.0;
+                let gx_pos = ctx.value_at_distance(g.hx) >= 0.0;
+                let gy_pos = ctx.value_at_distance(g.hy) >= 0.0;
                 let quadrant = crate::binning::quadrant_of(gx_pos, gy_pos);
                 let even = quadrant.is_multiple_of(2);
-                if n_bounds > 0 {
-                    ctx.mul_into(&a.gx, &a.gy, &mut a.gxy)?;
-                }
+                let first = if even { 0 } else { n_bounds };
                 let mut in_q = 0;
-                for i in 0..n_bounds {
-                    if self.tan_exceeds((hx, hy), gx_pos, even, i, mask_rng, a)? {
+                for (i, &counts) in tan_counts[first..first + n_bounds].iter().enumerate() {
+                    if self.tan_exceeds((g.hx, g.hy), gx_pos, even, i, counts, mask_rng) {
                         in_q = i + 1;
                     } else {
                         break;
@@ -648,7 +622,8 @@ impl HyperHog {
         for cy in 0..cells_y {
             for cx in 0..cells_x {
                 let base = (cy * cells_x + cx) * bins;
-                self.cell_pass(image, cx * c, cy * c, &mut sums[base..base + bins], scratch)?;
+                let cell_sums = &mut sums[base..base + bins];
+                self.cell_pass(image, cx * c, cy * c, cell_sums, &mut scratch.mask_rng)?;
             }
         }
         let values = sums.into_iter().map(|sum| self.slot_value(sum)).collect();
@@ -838,17 +813,15 @@ impl HyperHog {
     /// them into the feature hypervector.
     fn bundle_slots(&self, slots: &[f64], scratch: &mut HogScratch) -> BitVector {
         let keys = self.slot_keys_for(slots.len());
-        // Fused word-level bundling: bind each slot to its key and
-        // update the carry-save bit counts in one pass — bit-identical
-        // to the scalar xor + `Accumulator::add` + `threshold`
-        // reference (tie-break RNG draws included).
+        // One block-wise bind+carry-save pass over all slots —
+        // bit-identical to the scalar xor + `Accumulator::add` +
+        // `threshold` reference (tie-break RNG draws included).
         scratch.bundler.reset(self.config.dim);
-        for (&value, key) in slots.iter().zip(keys.iter()) {
-            scratch
-                .bundler
-                .bind_accumulate(self.quantize_slot(value), key)
-                .expect("dims equal");
-        }
+        let bound = slots.iter().map(|&value| self.quantize_slot(value));
+        scratch
+            .bundler
+            .bind_accumulate_all(bound.zip(keys.iter()))
+            .expect("dims equal");
         drop(keys);
         scratch.bundler.threshold(&mut scratch.mask_rng)
     }
@@ -902,7 +875,7 @@ impl HyperHog {
         }
         let mut scratch = Self::scratch_for_cell(level_seed, cx, cy);
         let mut sums = vec![0.0; self.config.hog.bins];
-        self.cell_pass(image, cx * c, cy * c, &mut sums, &mut scratch)?;
+        self.cell_pass(image, cx * c, cy * c, &mut sums, &mut scratch.mask_rng)?;
         // Quantize each bin as the per-window path's bundle does, so
         // windows only bind and bundle.
         Ok(sums
@@ -996,23 +969,19 @@ impl HyperHog {
         );
         let bins = cache.bins;
         let keys = self.slot_keys_for(cells_w * cells_h * bins);
-        // Per-window cost is one fused bind+carry-save pass over the
-        // cached cells — no per-slot bound vector, no per-bit floats —
-        // bit-identical to the scalar `Accumulator` reference.
+        // Per-window cost is one block-wise bind+carry-save pass over
+        // the cached cells — no per-slot bound vector, no per-bit
+        // floats — bit-identical to the scalar `Accumulator` reference.
         scratch.bundler.reset(self.config.dim);
-        let mut i = 0;
-        for wy in 0..cells_h {
-            for wx in 0..cells_w {
-                let base = ((cell_y0 + wy) * cache.cells_x + (cell_x0 + wx)) * bins;
-                for bin in 0..bins {
-                    scratch
-                        .bundler
-                        .bind_accumulate(&cache.slots[base + bin].bits, &keys[i])
-                        .expect("dims equal");
-                    i += 1;
-                }
-            }
-        }
+        let slots = (cell_y0..cell_y0 + cells_h).flat_map(|cy| {
+            let row = cy * cache.cells_x;
+            let span = (row + cell_x0) * bins..(row + cell_x0 + cells_w) * bins;
+            cache.slots[span].iter().map(CachedSlot::bits)
+        });
+        scratch
+            .bundler
+            .bind_accumulate_all(slots.zip(keys.iter()))
+            .expect("dims equal");
         drop(keys);
         Ok(scratch.bundler.threshold(&mut scratch.mask_rng))
     }
@@ -1435,7 +1404,7 @@ mod tests {
     }
 
     /// The allocating cell pass and the two extraction paths built on
-    /// it, kept as the bit-for-bit reference for the arena-backed pass:
+    /// it, kept as the bit-for-bit reference for the swept pass:
     /// every op returns a fresh vector, and the draw order is the one
     /// the production pass must reproduce.
     ///
@@ -1696,7 +1665,6 @@ mod tests {
             config.hog.bins = 16;
             let hog = HyperHog::new(config, 34);
             let ctx = &hog.ctx;
-            let mut arena = CellArena::new(dim);
             let mut enc = HdcRng::seed_from_u64(35);
             for (vx, vy) in [
                 (0.3, 0.1),
@@ -1705,12 +1673,12 @@ mod tests {
                 (0.0, 0.0),
                 (0.15, 0.6),
             ] {
-                arena.gx = ctx.encode_with(vx, &mut enc).unwrap();
-                arena.gy = ctx.encode_with(vy, &mut enc).unwrap();
-                ctx.mul_into(&arena.gx, &arena.gy, &mut arena.gxy).unwrap();
+                let gx = ctx.encode_with(vx, &mut enc).unwrap();
+                let gy = ctx.encode_with(vy, &mut enc).unwrap();
+                let gxy = ctx.mul(&gx, &gy).unwrap();
                 let basis = ctx.basis().as_bits();
-                let hx = arena.gx.as_bits().hamming(basis).unwrap();
-                let hy = arena.gy.as_bits().hamming(basis).unwrap();
+                let hx = gx.as_bits().hamming(basis).unwrap();
+                let hy = gy.as_bits().hamming(basis).unwrap();
                 let gx_pos = ctx.value_at_distance(hx) >= 0.0;
                 let (mut cot, mut tan) = (0, 0);
                 for even in [true, false] {
@@ -1725,21 +1693,27 @@ mod tests {
                         } else {
                             tan += 1;
                         }
+                        // The code's two sweep counts, `h(V_t, G)` and
+                        // `h(V_t, Gx ⊗ Gy)`.
+                        let code_bits = code.shv.as_bits();
+                        let g = if code.use_cot { &gy } else { &gx };
+                        let counts = [
+                            code_bits.hamming(g.as_bits()).unwrap(),
+                            code_bits.hamming(gxy.as_bits()).unwrap(),
+                        ];
                         let draws = 20_000;
                         let mut rng = HdcRng::seed_from_u64(36);
                         let got = (0..draws)
                             .filter(|_| {
-                                hog.tan_exceeds((hx, hy), gx_pos, even, i, &mut rng, &arena)
-                                    .unwrap()
+                                hog.tan_exceeds((hx, hy), gx_pos, even, i, counts, &mut rng)
                             })
                             .count() as f64
                             / draws as f64;
                         let want = (0..draws)
                             .filter(|_| {
-                                let (gx, gy) = (&arena.gx, &arena.gy);
                                 let path = reference::Path::Vectors;
                                 reference::tan_exceeds(
-                                    &hog, path, gx, gy, gx_pos, even, i, &mut rng,
+                                    &hog, path, &gx, &gy, gx_pos, even, i, &mut rng,
                                 )
                             })
                             .count() as f64

@@ -117,9 +117,8 @@ impl FeatureEncoder for LevelIdEncoder {
             });
         }
         let mut bundler = BitSlicedBundler::new(self.dim);
-        for (id, &v) in self.ids.iter().zip(features) {
-            bundler.bind_accumulate(&self.levels[self.level_of(v)], id)?;
-        }
+        let levels = features.iter().map(|&v| &self.levels[self.level_of(v)]);
+        bundler.bind_accumulate_all(levels.zip(&self.ids))?;
         // Deterministic threshold keeps encoding a pure function of
         // the input, which inference caching relies on.
         Ok(bundler.threshold_deterministic())

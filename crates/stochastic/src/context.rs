@@ -5,7 +5,10 @@ use std::borrow::Cow;
 use std::fmt;
 use std::sync::OnceLock;
 
-use hdface_hdc::{BitVector, HdcRng, SeedableRng};
+use hdface_hdc::{
+    gradient_sweep, BitVector, DimensionMismatchError, GradientCounts, HdcRng, SeedableRng,
+    SweepCodes,
+};
 
 use crate::binomial::{binomial, Binomial};
 use crate::error::StochasticError;
@@ -481,6 +484,55 @@ impl StochasticContext {
         self.weighted_average_into(a, b, 0.5, rng, mask, out)?;
         mask.negate();
         Ok(out.0.xor_assign(mask)?)
+    }
+
+    /// The counts a pixel reads off its gradients
+    /// `Gx = sub_halved(x[0], x[1])` and `Gy = sub_halved(y[0], y[1])`,
+    /// in one sweep over the D bits ([`hdface_hdc::gradient_sweep`])
+    /// that never builds either: `h(Gx, V₁)`, `h(Gy, V₁)` and
+    /// `h(Gx, Gy)`, returned, and per boundary code
+    /// `[h(code, G), h(code, Gx ⊗ Gy)]` in `code_counts`.
+    ///
+    /// The two ½ masks are drawn from `rng` exactly as two
+    /// [`sub_halved_into`](Self::sub_halved_into) calls draw them, `Gx`'s
+    /// first, so the counts and the state `rng` is left in are those of
+    /// building both gradients with it and counting.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StochasticError::DimensionMismatch`] if an operand or
+    /// the codes do not match the context; `rng` is then untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `code_counts.len() != codes.len()`.
+    pub fn gradient_sweep(
+        &self,
+        x: [&Shv; 2],
+        y: [&Shv; 2],
+        codes: &SweepCodes,
+        rng: &mut HdcRng,
+        code_counts: &mut [[usize; 2]],
+    ) -> Result<GradientCounts, StochasticError> {
+        let dims = [x[0], x[1], y[0], y[1]].map(Shv::dim);
+        if let Some(&right) = dims.iter().chain([&codes.dim()]).find(|&&d| d != self.dim) {
+            return Err(DimensionMismatchError {
+                left: self.dim,
+                right,
+            }
+            .into());
+        }
+        // One word per ½ mask, as `fill_with_density(0.5)` draws it.
+        let seeds = [rng.next_u64(), rng.next_u64()];
+        let (x, y) = (x.map(Shv::as_bits), y.map(Shv::as_bits));
+        Ok(gradient_sweep(
+            seeds,
+            x,
+            y,
+            &self.basis.0,
+            codes,
+            code_counts,
+        )?)
     }
 
     /// **Multiplication** (⊗): `V_ab[i] = V₁[i]` where the operands

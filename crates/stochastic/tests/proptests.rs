@@ -5,7 +5,8 @@
 //! sigmas keeps the false-failure probability negligible across the
 //! proptest case count.
 
-use hdface_stochastic::{expected_sigma, StochasticContext};
+use hdface_hdc::{BitVector, HdcRng, SeedableRng, SweepCodes};
+use hdface_stochastic::{expected_sigma, Shv, StochasticContext};
 use proptest::prelude::*;
 
 const D: usize = 8192;
@@ -131,5 +132,61 @@ proptest! {
         prop_assume!(!(-1.0..=1.0).contains(&a));
         let mut ctx = StochasticContext::new(64, 0);
         prop_assert!(ctx.encode(a).is_err());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `gradient_sweep` counts what building both gradients with
+    /// `sub_halved_into` and counting them gives, and leaves the mask
+    /// stream where those two calls leave it — on ragged dimensions,
+    /// with 0–4 boundary codes against either gradient.
+    #[test]
+    fn gradient_sweep_counts_and_draws_like_two_sub_halved_calls(
+        dim in 1usize..=1100,
+        n_codes in 0usize..=4,
+        seed in any::<u64>(),
+        stream in any::<u64>(),
+    ) {
+        let ctx = StochasticContext::new(dim, seed);
+        let mut data = HdcRng::seed_from_u64(seed ^ 1);
+        let ops: Vec<Shv> = (0..4).map(|_| Shv::from_bits(BitVector::random(dim, &mut data))).collect();
+        let codes: Vec<(BitVector, bool)> = (0..n_codes)
+            .map(|_| (BitVector::random(dim, &mut data), data.random_bool(0.5)))
+            .collect();
+        let layout: Vec<(&BitVector, bool)> = codes.iter().map(|(c, gy)| (c, *gy)).collect();
+        let sweep_codes = SweepCodes::new(dim, &layout).unwrap();
+
+        let mut rng = HdcRng::seed_from_u64(stream);
+        let mut code_counts = vec![[0; 2]; n_codes];
+        let got = ctx
+            .gradient_sweep([&ops[0], &ops[1]], [&ops[2], &ops[3]], &sweep_codes, &mut rng, &mut code_counts)
+            .unwrap();
+
+        let mut want_rng = HdcRng::seed_from_u64(stream);
+        let (mut mask, mut gx, mut gy) = (BitVector::zeros(dim), Shv::zeros(dim), Shv::zeros(dim));
+        ctx.sub_halved_into(&ops[0], &ops[1], &mut want_rng, &mut mask, &mut gx).unwrap();
+        ctx.sub_halved_into(&ops[2], &ops[3], &mut want_rng, &mut mask, &mut gy).unwrap();
+        let gxy = ctx.mul(&gx, &gy).unwrap();
+        let basis = ctx.basis().as_bits();
+        let (gx, gy) = (gx.as_bits(), gy.as_bits());
+        prop_assert_eq!(got.hx, gx.hamming(basis).unwrap());
+        prop_assert_eq!(got.hy, gy.hamming(basis).unwrap());
+        prop_assert_eq!(got.hxy, gx.hamming(gy).unwrap());
+        for ((code, against_gy), counts) in codes.iter().zip(&code_counts) {
+            let g = if *against_gy { gy } else { gx };
+            prop_assert_eq!(counts[0], code.hamming(g).unwrap());
+            prop_assert_eq!(counts[1], code.hamming(gxy.as_bits()).unwrap());
+        }
+        prop_assert_eq!(rng.next_u64(), want_rng.next_u64());
+
+        // A mis-sized operand is refused before anything is drawn.
+        let short = Shv::zeros(dim + 1);
+        let mut untouched = HdcRng::seed_from_u64(stream);
+        prop_assert!(ctx
+            .gradient_sweep([&short, &ops[1]], [&ops[2], &ops[3]], &sweep_codes, &mut untouched, &mut code_counts)
+            .is_err());
+        prop_assert_eq!(untouched.next_u64(), HdcRng::seed_from_u64(stream).next_u64());
     }
 }
