@@ -54,4 +54,4 @@ pub use kernels::{
 pub use rng::{HdcRng, SeedableRng};
 pub use serial::SerialError;
 pub use simd::{active_backend, detected_backend, SimdBackend};
-pub use sweep::{gradient_sweep, gradient_sweep_on, GradientCounts, SweepCodes};
+pub use sweep::{cell_sweep, cell_sweep_on, MaskLanes, SweepCodes, PIXEL_COUNTS};

@@ -1,5 +1,5 @@
 //! Runtime-dispatched word kernels: XOR+popcount, the stochastic
-//! mask stream and the HD-HOG pixel sweep.
+//! mask stream and the HD-HOG cell sweep.
 //!
 //! All Hamming-distance work in this crate bottoms out in one
 //! primitive: XOR two equal-length `u64` slices and count the set
@@ -11,23 +11,27 @@
 //! come from the same dispatch: eight interleaved xoshiro256++ lanes,
 //! stepped eight words at a time in one 512-bit register on AVX-512,
 //! in two 256-bit registers on AVX2, and one lane pair at a time
-//! elsewhere. The gradient sweep behind
-//! [`gradient_sweep`](crate::gradient_sweep) fuses one pixel of the
-//! cell pass into a single pass over the D bits: it steps both ½
-//! masks' lanes in registers, forms each gradient word from them and
-//! takes every count the pixel reads as it goes.
+//! elsewhere. The cell sweep behind [`cell_sweep`](crate::cell_sweep)
+//! runs a whole level cell of the HD-HOG pass in one call: it keeps
+//! the caller's [`MaskLanes`](crate::MaskLanes) in registers for the
+//! whole cell, steps them for every ½ mask a pixel's vector pipeline
+//! uses, forms each vector's words from them and counts every
+//! distance from `V₁` the pixel reads as it goes.
 //!
 //! Three backends can be active on x86_64 ([`SimdBackend`]):
 //!
 //! - **`Avx512`** (`avx512f` + `avx512dq` + the AVX2 set below): the
-//!   512-bit mask kernel, and the 512-bit sweep where
-//!   `avx512vpopcntdq` is found too — that feature has its own probe,
-//!   and a CPU without it runs the AVX2 sweep. Hamming queries keep
-//!   the AVX2 kernels, so similarity search is unchanged on these
-//!   CPUs.
-//! - **`Avx2`** (`avx2` + `popcnt`): the 256-bit mask kernel and sweep
-//!   and the nibble-LUT Hamming kernels.
-//! - **`Scalar`**: portable loops; always available.
+//!   512-bit mask kernel, and the 512-bit cell sweep (all eight lanes
+//!   in one register per state word) where `avx512vpopcntdq` is found
+//!   too — that feature has its own probe, and a CPU without it runs
+//!   the AVX2 sweep. Hamming queries keep the AVX2 kernels, so
+//!   similarity search is unchanged on these CPUs.
+//! - **`Avx2`** (`avx2` + `popcnt`): the 256-bit mask kernel, the
+//!   256-bit cell sweep (lanes 0–3 over the whole cell, then lanes
+//!   4–7) and the nibble-LUT Hamming kernels.
+//! - **`Scalar`**: portable loops; always available. Its cell sweep
+//!   steps all eight lanes side by side and counts with Harley–Seal
+//!   adder planes.
 //!
 //! aarch64 has `Neon` (Hamming only; its masks and sweep use the
 //! scalar kernels) and `Scalar`.
@@ -52,8 +56,10 @@
 //! from lane `j mod 8`), so stepping the lanes side by side or one
 //! after another yields the same words; `tests/mask_stream_proptest.rs`
 //! pins that word for word on every backend the CPU supports. The
-//! sweep's masks are those words and its outputs are counts, so
-//! `tests/sweep_proptest.rs` holds every sweep to the unfused ops.
+//! cell sweep's lanes are stepped the same way (word `j` of every
+//! group from lane `j`) and its outputs are counts, so
+//! `tests/sweep_proptest.rs` holds every backend to the vector
+//! pipeline built op by op from the same lanes, lane state included.
 //!
 //! This is the only module in the crate allowed to use `unsafe`: the
 //! intrinsics require it, and each call site documents why it is
@@ -63,10 +69,13 @@
 
 use std::sync::OnceLock;
 
+use crate::bitvec::BitVector;
 use crate::bundler::full_add;
+use crate::error::DimensionMismatchError;
+use crate::sweep::{MaskLanes, SweepCodes, PIXEL_COUNTS};
 
 /// Which word-kernel implementation services Hamming queries,
-/// stochastic mask generation and the pixel sweep.
+/// stochastic mask generation and the cell sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdBackend {
     /// Portable word-at-a-time loops; always available.
@@ -881,67 +890,108 @@ unsafe fn density_mask_avx512(seed: u64, q: u32, bits: u32, words: &mut [u64]) {
     }
 }
 
-/// Boundary codes one kernel call sweeps: each keeps two count
-/// accumulators live for the whole pass, so a longer list is swept in
-/// chunks of this many (see [`crate::SweepCodes`]).
-pub(crate) const SWEEP_CODES_PER_PASS: usize = 8;
-
-/// What one pass of the gradient sweep reads. Every slice but `codes`
-/// is the operands' word count long.
-pub(crate) struct SweepInput<'a> {
-    /// The seeds of the `Gx` and `Gy` ½ masks, as
-    /// [`density_mask_into_with`] takes them.
-    pub(crate) seeds: [u64; 2],
-    /// `[a, b, c, d]`: `Gx = sub_halved(a, b)`, `Gy = sub_halved(c, d)`.
-    pub(crate) operands: [&'a [u64]; 4],
-    /// `V₁`.
-    pub(crate) basis: &'a [u64],
-    /// The valid bits of the final word.
-    pub(crate) tail: u64,
-    /// At most [`SWEEP_CODES_PER_PASS`] codes, group-interleaved: word
-    /// `8g + j` of code `k` is `codes[(g·n + k)·8 + j]` for `n` codes,
-    /// zero past the last word up to a whole 8-word group.
-    pub(crate) codes: &'a [u64],
-    /// Whether code `k` is compared against `Gy` (else `Gx`).
-    pub(crate) against_gy: &'a [bool],
+/// One step of all eight lanes of a [`MaskLanes`](crate::MaskLanes)
+/// state (state word `k` of lane `l` at `s[k][l]`): word `j` of the
+/// result is lane `j`'s output. Written lane-wise over the state
+/// rows, so the compiler can step several lanes per vector register.
+#[inline]
+pub(crate) fn step_lanes(s: &mut [[u64; MASK_LANES]; 4]) -> [u64; MASK_LANES] {
+    let [s0, s1, s2, s3] = s;
+    let out = std::array::from_fn(|l| {
+        s0[l]
+            .wrapping_add(s3[l])
+            .rotate_left(23)
+            .wrapping_add(s0[l])
+    });
+    let t: [u64; MASK_LANES] = std::array::from_fn(|l| s1[l] << 17);
+    for l in 0..MASK_LANES {
+        s2[l] ^= s0[l];
+        s3[l] ^= s1[l];
+    }
+    for l in 0..MASK_LANES {
+        s1[l] ^= s2[l];
+        s0[l] ^= s3[l];
+    }
+    for l in 0..MASK_LANES {
+        s2[l] ^= t[l];
+        s3[l] = s3[l].rotate_left(45);
+    }
+    out
 }
 
-/// One pixel's gradient sweep on an explicit backend: the two ½ masks'
-/// words are generated in registers exactly as
-/// [`density_mask_into_with`] generates them, each gradient word is
-/// `(a ∧ m) ∨ ¬(b ∨ m)` — `select(a, b, m) ⊕ ¬m`, which is what
-/// `sub_halved_into` leaves — and every count is taken in the same
-/// pass. Returns `[h(Gx, V₁), h(Gy, V₁), h(Gx, Gy)]` and writes
-/// `[h(code, G), h(code, Gx ⊗ Gy)]` for each code into `code_counts`,
-/// with `G` the gradient the code is compared against and
-/// `Gx ⊗ Gy = Gx ⊕ Gy ⊕ V₁`. Falls back like [`hamming_words_with`];
-/// AVX-512 needs its own `avx512vpopcntdq` probe, and an AVX-512 CPU
-/// without it runs the AVX2 sweep.
-pub(crate) fn gradient_sweep_with(
+/// What one cell sweep reads, built by [`cell_sweep_with`] only after
+/// it has checked every operand's dimensions: the kernels' unchecked
+/// loads rely on every pixel operand holding `basis.len()` words.
+struct CellInput<'a> {
+    /// `[P(x+1), P(x−1), P(y+1), P(y−1)]` per pixel.
+    pixels: &'a [[&'a BitVector; 4]],
+    /// `V₁`.
+    basis: &'a [u64],
+    /// The valid bits of the final word.
+    tail: u64,
+    /// The tan tests' codes.
+    codes: &'a SweepCodes,
+}
+
+/// One cell's sweep on an explicit backend (see
+/// [`cell_sweep`](crate::cell_sweep) for the step order and the
+/// counts). Every backend steps each lane through the same words and
+/// takes the same counts, so all agree exactly; they differ only in
+/// how many lanes share a register. Falls back like
+/// [`hamming_words_with`]; AVX-512 needs its own `avx512vpopcntdq`
+/// probe, and an AVX-512 CPU without it runs the AVX2 sweep.
+///
+/// Returns [`DimensionMismatchError`], with `lanes` untouched, if an
+/// operand or the codes differ from the basis in dimensionality.
+///
+/// # Panics
+///
+/// Panics if `counts.len() != pixels.len() · (PIXEL_COUNTS + codes.len())`.
+pub(crate) fn cell_sweep_with(
     backend: SimdBackend,
-    input: &SweepInput<'_>,
-    code_counts: &mut [[u64; 2]],
-) -> [u64; 3] {
-    debug_assert_eq!(code_counts.len(), input.against_gy.len());
-    debug_assert!(code_counts.len() <= SWEEP_CODES_PER_PASS);
-    debug_assert_eq!(
-        input.codes.len(),
-        input.basis.len().div_ceil(MASK_LANES) * MASK_LANES * code_counts.len()
+    lanes: &mut MaskLanes,
+    pixels: &[[&BitVector; 4]],
+    basis: &BitVector,
+    codes: &SweepCodes,
+    counts: &mut [usize],
+) -> Result<(), DimensionMismatchError> {
+    let dim = basis.dim();
+    if let Some(right) = pixels
+        .iter()
+        .flatten()
+        .map(|v| v.dim())
+        .chain([codes.dim()])
+        .find(|&d| d != dim)
+    {
+        return Err(DimensionMismatchError { left: dim, right });
+    }
+    assert_eq!(
+        counts.len(),
+        pixels.len() * (PIXEL_COUNTS + codes.len()),
+        "PIXEL_COUNTS + codes.len() counts per pixel"
     );
+    let rem = dim % 64;
+    let input = CellInput {
+        pixels,
+        basis: basis.as_words(),
+        tail: if rem == 0 { u64::MAX } else { (1 << rem) - 1 },
+        codes,
+    };
     match backend {
         #[cfg(target_arch = "x86_64")]
         SimdBackend::Avx512 if avx512_sweep_detected() => {
             // SAFETY: avx512f, avx512dq and avx512vpopcntdq were just
             // runtime-detected.
-            unsafe { gradient_sweep_avx512(input, code_counts) }
+            unsafe { cell_sweep_avx512(lanes, &input, counts) }
         }
         #[cfg(target_arch = "x86_64")]
         SimdBackend::Avx2 | SimdBackend::Avx512 if std::arch::is_x86_feature_detected!("avx2") => {
             // SAFETY: avx2 was just runtime-detected.
-            unsafe { gradient_sweep_avx2(input, code_counts) }
+            unsafe { cell_sweep_avx2(lanes, &input, counts) }
         }
-        _ => gradient_sweep_scalar(input, code_counts),
+        _ => cell_sweep_scalar(lanes, &input, counts),
     }
+    Ok(())
 }
 
 /// The AVX-512 sweep's features: the mask kernel's set plus
@@ -952,17 +1002,16 @@ fn avx512_sweep_detected() -> bool {
     avx512_detected() && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
 }
 
-/// One word of `sub_halved(a, b)` under mask word `m`: `a` where the
-/// mask is set, `¬b` where it is clear.
+/// `m ? x : y`, bit by bit.
 #[inline]
-fn sub_halved_word(a: u64, b: u64, m: u64) -> u64 {
-    (a & m) | !(b | m)
+fn select_word(m: u64, x: u64, y: u64) -> u64 {
+    (m & x) | (!m & y)
 }
 
 /// A running popcount over 8-word groups (Harley–Seal): full adders
 /// carry each group's bits into `ones`, `twos` and `fours` planes, and
 /// only the overflow into eights is popcounted, one count per group
-/// instead of eight — the portable sweep's seven counts per word would
+/// instead of eight — the portable sweep's counts per word would
 /// otherwise be most of its work.
 #[derive(Clone, Copy, Default)]
 struct GroupPopcount {
@@ -986,89 +1035,140 @@ impl GroupPopcount {
         self.eights += u64::from(eights.count_ones());
     }
 
-    fn total(&self) -> u64 {
-        let pop = |x: u64| u64::from(x.count_ones());
-        8 * self.eights + 4 * pop(self.fours) + 2 * pop(self.twos) + pop(self.ones)
+    fn total(&self) -> usize {
+        let pop = |x: u64| x.count_ones() as usize;
+        8 * self.eights as usize + 4 * pop(self.fours) + 2 * pop(self.twos) + pop(self.ones)
     }
 }
 
-/// Portable sweep, one 8-word group at a time: word `j` of a group
-/// takes the next output of lane `j` of each mask, as the mask kernels
-/// do. The final group is read into zero-padded copies, and its
-/// gradients keep only the valid bits, so padding counts nothing.
-fn gradient_sweep_scalar(input: &SweepInput<'_>, code_counts: &mut [[u64; 2]]) -> [u64; 3] {
-    let [a, b, c, d] = input.operands;
-    let words = a.len();
-    let n = input.against_gy.len();
-    let lanes =
-        |seed: u64| -> [[u64; 4]; MASK_LANES] { std::array::from_fn(|l| mask_lane_state(seed, l)) };
-    let (mut x_lanes, mut y_lanes) = (lanes(input.seeds[0]), lanes(input.seeds[1]));
-    let mut counts = [GroupPopcount::default(); 3];
-    let mut code_sums = [[GroupPopcount::default(); 2]; SWEEP_CODES_PER_PASS];
-    for g in 0..words.div_ceil(MASK_LANES) {
-        let at = g * MASK_LANES;
-        let group = |s: &[u64]| -> [u64; MASK_LANES] {
-            match s.get(at..at + MASK_LANES) {
-                Some(whole) => whole.try_into().expect("8 words"),
-                None => std::array::from_fn(|j| s.get(at + j).copied().unwrap_or(0)),
-            }
-        };
-        let valid: [u64; MASK_LANES] = if at + MASK_LANES < words {
-            [u64::MAX; MASK_LANES]
-        } else {
-            std::array::from_fn(|j| match (at + j + 1).cmp(&words) {
-                std::cmp::Ordering::Less => u64::MAX,
-                std::cmp::Ordering::Equal => input.tail,
-                std::cmp::Ordering::Greater => 0,
-            })
-        };
-        let (a, b, c, d, v) = (group(a), group(b), group(c), group(d), group(input.basis));
-        let gx: [u64; MASK_LANES] = std::array::from_fn(|j| {
-            sub_halved_word(a[j], b[j], xoshiro_next(&mut x_lanes[j])) & valid[j]
-        });
-        let gy: [u64; MASK_LANES] = std::array::from_fn(|j| {
-            sub_halved_word(c[j], d[j], xoshiro_next(&mut y_lanes[j])) & valid[j]
-        });
-        let xor = |p: &[u64; MASK_LANES], q: &[u64]| std::array::from_fn(|j| p[j] ^ q[j]);
-        counts[0].add(xor(&gx, &v));
-        counts[1].add(xor(&gy, &v));
-        counts[2].add(xor(&gx, &gy));
-        let gxy = xor(&xor(&gx, &gy), &v);
-        let codes = &input.codes[g * n * MASK_LANES..(g + 1) * n * MASK_LANES];
-        for ((sums, &against_gy), code) in code_sums
-            .iter_mut()
-            .zip(input.against_gy)
-            .zip(codes.chunks_exact(MASK_LANES))
-        {
-            let g = if against_gy { &gy } else { &gx };
-            sums[0].add(xor(g, code));
-            sums[1].add(xor(&gxy, code));
+/// One 8-word group of one pixel in the portable sweep: steps the
+/// lanes for every mask in order, builds each vector's words and adds
+/// their distances from `V₁` to `sums` (the pixel's four, then its
+/// codes' in mask order). `valid` keeps the bits inside `D`; inlined
+/// with the all-ones of a whole group, its masking folds away.
+#[inline(always)]
+fn scalar_group(
+    s: &mut [[u64; MASK_LANES]; 4],
+    [a, b, c, d]: [[u64; MASK_LANES]; 4],
+    v: [u64; MASK_LANES],
+    valid: [u64; MASK_LANES],
+    codes: &SweepCodes,
+    code_words: &[u64],
+    sums: &mut [GroupPopcount],
+) {
+    use std::array::from_fn;
+    let keep = |j: usize, x: u64| x & valid[j];
+    let (mx, my, ms) = (step_lanes(s), step_lanes(s), step_lanes(s));
+    let gx: [u64; MASK_LANES] = from_fn(|j| keep(j, select_word(mx[j], a[j], !b[j])));
+    let gy: [u64; MASK_LANES] = from_fn(|j| keep(j, select_word(my[j], c[j], !d[j])));
+    // `Gx ⊕ V₁` and `Gy ⊕ V₁`: where each gradient differs from V₁.
+    let dx: [u64; MASK_LANES] = from_fn(|j| gx[j] ^ v[j]);
+    let dy: [u64; MASK_LANES] = from_fn(|j| gy[j] ^ v[j]);
+    sums[0].add(dx);
+    sums[1].add(dy);
+    sums[2].add(from_fn(|j| select_word(ms[j], dx[j], dy[j])));
+    sums[3].add(from_fn(|j| keep(j, select_word(ms[j], dx[j], !dy[j]))));
+    for i in 0..codes.masks {
+        let m = step_lanes(s);
+        for k in codes.starts[i]..codes.starts[i + 1] {
+            let code = &code_words[k * MASK_LANES..][..MASK_LANES];
+            // `α ⊕ V₁`: `m ? V ⊕ Gy : ¬dx` for a cot code (`V ⊗ Gy ⊕ V₁
+            // = V ⊕ Gy`), `m ? dy : ¬(V ⊕ Gx)` for a tan code.
+            let alpha = if codes.cot[k] {
+                from_fn(|j| keep(j, select_word(m[j], code[j] ^ gy[j], !dx[j])))
+            } else {
+                from_fn(|j| keep(j, select_word(m[j], dy[j], !(code[j] ^ gx[j]))))
+            };
+            sums[PIXEL_COUNTS + k].add(alpha);
         }
     }
-    for (out, sums) in code_counts.iter_mut().zip(code_sums) {
-        *out = [sums[0].total(), sums[1].total()];
-    }
-    counts.map(|c| c.total())
 }
 
-/// AVX2 sweep: lanes 0–3 of both masks first, over words `8g..8g + 4`
-/// of every group, then lanes 4–7 over the other half, so only one
-/// half's eight state registers are live at a time (the counts are
-/// sums, so the order cannot change them). Popcounts use the nibble
-/// lookup of [`hamming_words_avx2`]. The final group is read with
-/// masked loads, and its gradients keep only the valid bits.
+/// Portable sweep, one 8-word group at a time with all eight lanes
+/// side by side ([`scalar_group`]), every count a [`GroupPopcount`].
+/// Whole groups are read and counted as they are; the final group is
+/// read into zero-padded copies and its vectors keep only the valid
+/// bits, so padding counts nothing.
+fn cell_sweep_scalar(lanes: &mut MaskLanes, input: &CellInput<'_>, counts: &mut [usize]) {
+    let words = input.basis.len();
+    let groups = words.div_ceil(MASK_LANES);
+    let codes = input.codes;
+    let n = codes.len();
+    let mut s = lanes.state;
+    let mut sums = vec![GroupPopcount::default(); PIXEL_COUNTS + n];
+    let last = groups.saturating_sub(1) * MASK_LANES;
+    let last_valid: [u64; MASK_LANES] = std::array::from_fn(|j| match (last + j + 1).cmp(&words) {
+        std::cmp::Ordering::Less => u64::MAX,
+        std::cmp::Ordering::Equal => input.tail,
+        std::cmp::Ordering::Greater => 0,
+    });
+    for (ops, out) in input
+        .pixels
+        .iter()
+        .zip(counts.chunks_exact_mut(PIXEL_COUNTS + n))
+    {
+        let ops = ops.map(BitVector::as_words);
+        sums.fill(GroupPopcount::default());
+        for at in (0..last).step_by(MASK_LANES) {
+            let group = |s: &[u64]| -> [u64; MASK_LANES] {
+                s[at..at + MASK_LANES].try_into().expect("8 words")
+            };
+            let code_words = &codes.words[at * n..(at + MASK_LANES) * n];
+            scalar_group(
+                &mut s,
+                ops.map(group),
+                group(input.basis),
+                [u64::MAX; MASK_LANES],
+                codes,
+                code_words,
+                &mut sums,
+            );
+        }
+        if groups > 0 {
+            let group = |s: &[u64]| -> [u64; MASK_LANES] {
+                std::array::from_fn(|j| s.get(last + j).copied().unwrap_or(0))
+            };
+            let code_words = &codes.words[last * n..(last + MASK_LANES) * n];
+            scalar_group(
+                &mut s,
+                ops.map(group),
+                group(input.basis),
+                last_valid,
+                codes,
+                code_words,
+                &mut sums,
+            );
+        }
+        for (o, sum) in out.iter_mut().zip(&sums[..PIXEL_COUNTS]) {
+            *o = sum.total();
+        }
+        for (&slot, sum) in codes.slot.iter().zip(&sums[PIXEL_COUNTS..]) {
+            out[PIXEL_COUNTS + slot] = sum.total();
+        }
+    }
+    lanes.state = s;
+}
+
+/// AVX2 sweep: lanes 0–3 of the whole cell first, over words
+/// `8g..8g + 4` of every group, then lanes 4–7 over the other half, so
+/// only one half's four state registers are live (lanes never share
+/// state, and the counts are sums, so the order cannot change them).
+/// Popcounts use the nibble lookup of [`hamming_words_avx2`]. A chunk
+/// holding the final word is read with masked loads, and its vectors
+/// keep only the valid bits.
 ///
 /// # Safety
 ///
 /// Callers must ensure the CPU supports `avx2`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn gradient_sweep_avx2(input: &SweepInput<'_>, code_counts: &mut [[u64; 2]]) -> [u64; 3] {
+unsafe fn cell_sweep_avx2(lanes: &mut MaskLanes, input: &CellInput<'_>, counts: &mut [usize]) {
     use std::arch::x86_64::*;
 
-    let [a, b, c, d] = input.operands;
-    let words = a.len();
-    let n = input.against_gy.len();
+    let words = input.basis.len();
+    let groups = words.div_ceil(MASK_LANES);
+    let codes = input.codes;
+    let n = codes.len();
     #[rustfmt::skip]
     let lut = _mm256_setr_epi8(
         0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
@@ -1083,89 +1183,139 @@ unsafe fn gradient_sweep_avx2(input: &SweepInput<'_>, code_counts: &mut [[u64; 2
         let hi = _mm256_shuffle_epi8(lut, _mm256_and_si256(_mm256_srli_epi16::<4>(x), low_mask));
         *acc = _mm256_add_epi64(*acc, _mm256_sad_epu8(_mm256_add_epi8(lo, hi), zero));
     };
-    let sub_halved = |a: __m256i, b: __m256i, m: __m256i| {
+    // `m ? x : y` and `m ? x : ¬y`.
+    let select = |m: __m256i, x: __m256i, y: __m256i| {
+        _mm256_or_si256(_mm256_and_si256(m, x), _mm256_andnot_si256(m, y))
+    };
+    let select_not = |m: __m256i, x: __m256i, y: __m256i| {
         _mm256_or_si256(
-            _mm256_and_si256(a, m),
-            _mm256_andnot_si256(_mm256_or_si256(b, m), ones),
+            _mm256_and_si256(m, x),
+            _mm256_andnot_si256(_mm256_or_si256(m, y), ones),
         )
     };
-    // SAFETY: the slice holds the 4 words; loads are unaligned.
-    let load = |s: &[u64], at: usize| unsafe { _mm256_loadu_si256(s[at..at + 4].as_ptr().cast()) };
+    let total = |x: __m256i| {
+        let mut lanes = [0u64; 4];
+        // SAFETY: `lanes` is 32 bytes; the store is unaligned.
+        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), x) };
+        lanes.iter().sum::<u64>() as usize
+    };
 
-    let mut acc = [zero; 3];
-    let mut code_acc = [[zero; 2]; SWEEP_CODES_PER_PASS];
-    let groups = words.div_ceil(MASK_LANES);
+    counts.fill(0);
+    let mut acc = vec![zero; PIXEL_COUNTS + n];
     for half in [0, 4] {
-        // SAFETY: avx2 is guaranteed by this function's contract.
-        let (mut sx, mut sy) = unsafe {
-            (
-                mask_lanes_x4(input.seeds[0], half),
-                mask_lanes_x4(input.seeds[1], half),
-            )
-        };
-        for g in 0..groups {
-            let at = g * MASK_LANES + half;
-            if at >= words {
-                break;
-            }
-            // SAFETY: avx2 is guaranteed by this function's contract.
-            let (mx, my) = unsafe { (xoshiro_next_x4(&mut sx), xoshiro_next_x4(&mut sy)) };
-            let (gx, gy, v);
-            if g + 1 < groups {
-                gx = sub_halved(load(a, at), load(b, at), mx);
-                gy = sub_halved(load(c, at), load(d, at), my);
-                v = load(input.basis, at);
-            } else {
-                let live = (words - at).min(4);
-                let lane = _mm256_setr_epi64x(0, 1, 2, 3);
-                let live_lanes = _mm256_cmpgt_epi64(_mm256_set1_epi64x(live as i64), lane);
-                // SAFETY: the mask enables exactly the `live` words
-                // present from `at`; masked-off elements are not read.
-                let padded = |s: &[u64]| unsafe {
-                    _mm256_maskload_epi64(s[at..].as_ptr().cast(), live_lanes)
+        // SAFETY: each state row holds 8 words; loads are unaligned.
+        let mut s: [__m256i; 4] = std::array::from_fn(|k| unsafe {
+            _mm256_loadu_si256(lanes.state[k][half..half + 4].as_ptr().cast())
+        });
+        for (ops, out) in input
+            .pixels
+            .iter()
+            .zip(counts.chunks_exact_mut(PIXEL_COUNTS + n))
+        {
+            let ops = ops.map(BitVector::as_words);
+            acc.fill(zero);
+            for g in 0..groups {
+                let at = g * MASK_LANES + half;
+                // SAFETY: avx2 is guaranteed by this function's contract.
+                let (mx, my, ms) = unsafe {
+                    (
+                        xoshiro_next_x4(&mut s),
+                        xoshiro_next_x4(&mut s),
+                        xoshiro_next_x4(&mut s),
+                    )
                 };
-                // All ones in the live words, the final word's valid
-                // bits in its lane, built in registers.
-                let last = if at + live == words {
-                    input.tail
+                if at >= words {
+                    // A ragged last group: these lanes still step.
+                    for _ in 0..codes.masks {
+                        // SAFETY: avx2 is guaranteed by this function's
+                        // contract.
+                        unsafe { xoshiro_next_x4(&mut s) };
+                    }
+                    continue;
+                }
+                let ([a, b, c, d], v, valid);
+                if at + 4 < words {
+                    // SAFETY: the slice holds the 4 words; loads are
+                    // unaligned.
+                    let load =
+                        |s: &[u64]| unsafe { _mm256_loadu_si256(s[at..at + 4].as_ptr().cast()) };
+                    [a, b, c, d] = ops.map(load);
+                    v = load(input.basis);
+                    valid = ones;
                 } else {
-                    u64::MAX
-                };
-                let is_last = _mm256_cmpeq_epi64(lane, _mm256_set1_epi64x(live as i64 - 1));
-                let valid =
-                    _mm256_blendv_epi8(live_lanes, _mm256_set1_epi64x(last as i64), is_last);
-                gx = _mm256_and_si256(sub_halved(padded(a), padded(b), mx), valid);
-                gy = _mm256_and_si256(sub_halved(padded(c), padded(d), my), valid);
-                v = padded(input.basis);
+                    let live = words - at;
+                    let lane = _mm256_setr_epi64x(0, 1, 2, 3);
+                    let live_lanes = _mm256_cmpgt_epi64(_mm256_set1_epi64x(live as i64), lane);
+                    // SAFETY: the mask enables exactly the `live` words
+                    // present from `at`; masked-off elements are not
+                    // read.
+                    let load = |s: &[u64]| unsafe {
+                        _mm256_maskload_epi64(s[at..].as_ptr().cast(), live_lanes)
+                    };
+                    [a, b, c, d] = ops.map(load);
+                    v = load(input.basis);
+                    // All ones in the live words but the final one,
+                    // which keeps its valid bits.
+                    let is_last = _mm256_cmpeq_epi64(lane, _mm256_set1_epi64x(live as i64 - 1));
+                    valid = _mm256_blendv_epi8(
+                        live_lanes,
+                        _mm256_set1_epi64x(input.tail as i64),
+                        is_last,
+                    );
+                }
+                let gx = _mm256_and_si256(select_not(mx, a, b), valid);
+                let gy = _mm256_and_si256(select_not(my, c, d), valid);
+                let (dx, dy) = (_mm256_xor_si256(gx, v), _mm256_xor_si256(gy, v));
+                count(&mut acc[0], dx);
+                count(&mut acc[1], dy);
+                count(&mut acc[2], select(ms, dx, dy));
+                count(&mut acc[3], _mm256_and_si256(select_not(ms, dx, dy), valid));
+                for i in 0..codes.masks {
+                    // SAFETY: avx2 is guaranteed by this function's
+                    // contract.
+                    let m = unsafe { xoshiro_next_x4(&mut s) };
+                    for k in codes.starts[i]..codes.starts[i + 1] {
+                        // SAFETY: codes are padded to whole groups, so
+                        // the 4 words are present; the load is
+                        // unaligned.
+                        let code = unsafe {
+                            _mm256_loadu_si256(
+                                codes.words[(g * n + k) * MASK_LANES + half..][..4]
+                                    .as_ptr()
+                                    .cast(),
+                            )
+                        };
+                        let alpha = if codes.cot[k] {
+                            select_not(m, _mm256_xor_si256(code, gy), dx)
+                        } else {
+                            select_not(m, dy, _mm256_xor_si256(code, gx))
+                        };
+                        count(&mut acc[PIXEL_COUNTS + k], _mm256_and_si256(alpha, valid));
+                    }
+                }
             }
-            count(&mut acc[0], _mm256_xor_si256(gx, v));
-            count(&mut acc[1], _mm256_xor_si256(gy, v));
-            count(&mut acc[2], _mm256_xor_si256(gx, gy));
-            let gxy = _mm256_xor_si256(_mm256_xor_si256(gx, gy), v);
-            for (k, (sums, &against_gy)) in code_acc.iter_mut().zip(input.against_gy).enumerate() {
-                let code = load(input.codes, (g * n + k) * MASK_LANES + half);
-                let g = if against_gy { gy } else { gx };
-                count(&mut sums[0], _mm256_xor_si256(code, g));
-                count(&mut sums[1], _mm256_xor_si256(code, gxy));
+            for (o, &x) in out.iter_mut().zip(&acc[..PIXEL_COUNTS]) {
+                *o += total(x);
+            }
+            for (&slot, &x) in codes.slot.iter().zip(&acc[PIXEL_COUNTS..]) {
+                out[PIXEL_COUNTS + slot] += total(x);
+            }
+        }
+        for (k, row) in s.iter().enumerate() {
+            // SAFETY: each state row holds 8 words; the store is
+            // unaligned.
+            unsafe {
+                _mm256_storeu_si256(lanes.state[k][half..half + 4].as_mut_ptr().cast(), *row);
             }
         }
     }
-    let total = |x: __m256i| {
-        let mut lanes = [0u64; 4];
-        // SAFETY: `lanes` is 32 bytes; store is unaligned.
-        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), x) };
-        lanes.iter().sum::<u64>()
-    };
-    for (out, sums) in code_counts.iter_mut().zip(code_acc) {
-        *out = [total(sums[0]), total(sums[1])];
-    }
-    acc.map(total)
 }
 
-/// AVX-512 sweep: one register per mask holds all eight lanes, so each
-/// 8-word group is one step of each, one ternary-logic op per gradient
-/// and a VPOPCNTDQ count per distance. The final group is read with
-/// masked loads, and its gradients keep only the valid bits.
+/// AVX-512 sweep: one register per state word holds all eight lanes
+/// for the whole cell, so each 8-word group of a mask is one step, each
+/// vector one ternary-logic op and each count one VPOPCNTDQ. The final
+/// group is read with masked loads, and its vectors keep only the
+/// valid bits; the others read whole groups and mask nothing.
 ///
 /// # Safety
 ///
@@ -1173,93 +1323,127 @@ unsafe fn gradient_sweep_avx2(input: &SweepInput<'_>, code_counts: &mut [[u64; 2
 /// `avx512vpopcntdq`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,avx512vpopcntdq")]
-unsafe fn gradient_sweep_avx512(input: &SweepInput<'_>, code_counts: &mut [[u64; 2]]) -> [u64; 3] {
+unsafe fn cell_sweep_avx512(lanes: &mut MaskLanes, input: &CellInput<'_>, counts: &mut [usize]) {
     use std::arch::x86_64::*;
 
-    /// `ternarylogic` table of `m ? a : ¬b` over `(a, b, m)`.
-    const SUB_HALVED: i32 = 0xb1;
-    /// `ternarylogic` table of `a ⊕ b ⊕ c`.
-    const XOR3: i32 = 0x96;
+    /// `ternarylogic` table of `m ? x : y` over `(m, x, y)`.
+    const SELECT: i32 = 0xca;
+    /// `ternarylogic` table of `m ? x : ¬y` over `(m, x, y)`.
+    const SELECT_NOT: i32 = 0xc5;
 
-    let [a, b, c, d] = input.operands;
-    let words = a.len();
-    let n = input.against_gy.len();
-    let zero = _mm512_setzero_si512();
-    let mut acc = [zero; 3];
-    let mut code_acc = [[zero; 2]; SWEEP_CODES_PER_PASS];
-    // SAFETY: avx512f and avx512dq are guaranteed by this function's
-    // contract.
-    let (mut sx, mut sy) =
-        unsafe { (mask_lanes_x8(input.seeds[0]), mask_lanes_x8(input.seeds[1])) };
-    let mut sweep = |ops: [__m512i; 4], v: __m512i, valid: __m512i, codes: &[u64]| {
-        // SAFETY: avx512f is guaranteed by this function's contract.
-        let (mx, my) = unsafe { (xoshiro_next_x8(&mut sx), xoshiro_next_x8(&mut sy)) };
-        let gx = _mm512_and_si512(
-            _mm512_ternarylogic_epi64::<SUB_HALVED>(ops[0], ops[1], mx),
-            valid,
-        );
-        let gy = _mm512_and_si512(
-            _mm512_ternarylogic_epi64::<SUB_HALVED>(ops[2], ops[3], my),
-            valid,
-        );
-        let count = |acc: &mut __m512i, x: __m512i| {
-            *acc = _mm512_add_epi64(*acc, _mm512_popcnt_epi64(x));
-        };
-        count(&mut acc[0], _mm512_xor_si512(gx, v));
-        count(&mut acc[1], _mm512_xor_si512(gy, v));
-        count(&mut acc[2], _mm512_xor_si512(gx, gy));
-        let gxy = _mm512_ternarylogic_epi64::<XOR3>(gx, gy, v);
-        for (k, (sums, &against_gy)) in code_acc.iter_mut().zip(input.against_gy).enumerate() {
-            // SAFETY: a code's group is 8 words of `codes`; the load is
-            // unaligned.
-            let code = unsafe {
-                _mm512_loadu_si512(codes[k * MASK_LANES..][..MASK_LANES].as_ptr().cast())
-            };
-            let g = if against_gy { gy } else { gx };
-            count(&mut sums[0], _mm512_xor_si512(code, g));
-            count(&mut sums[1], _mm512_xor_si512(code, gxy));
-        }
-    };
-
+    let words = input.basis.len();
     let groups = words.div_ceil(MASK_LANES);
-    let group_codes = |g: usize| &input.codes[g * n * MASK_LANES..(g + 1) * n * MASK_LANES];
-    for g in 0..groups.saturating_sub(1) {
-        let at = g * MASK_LANES;
-        // SAFETY: a group before the last holds 8 words of every
-        // operand; loads are unaligned.
-        let load =
-            |s: &[u64]| unsafe { _mm512_loadu_si512(s[at..at + MASK_LANES].as_ptr().cast()) };
-        let ops = [load(a), load(b), load(c), load(d)];
-        sweep(
-            ops,
-            load(input.basis),
-            _mm512_set1_epi64(-1),
-            group_codes(g),
-        );
+    let codes = input.codes;
+    let n = codes.len();
+    let zero = _mm512_setzero_si512();
+    // SAFETY: each state row holds 8 words; loads are unaligned.
+    let mut s: [__m512i; 4] =
+        std::array::from_fn(|k| unsafe { _mm512_loadu_si512(lanes.state[k].as_ptr().cast()) });
+    let mut fixed = [zero; PIXEL_COUNTS];
+    let mut code_acc = vec![zero; n];
+    // The final group's live words, and its valid bits: all ones in the
+    // live words but the last, which keeps the final word's, built in
+    // registers.
+    let live = words - groups.saturating_sub(1) * MASK_LANES;
+    let last_lanes: __mmask8 = (1u16 << live).wrapping_sub(1) as u8;
+    let last_ones = _mm512_maskz_mov_epi64(last_lanes, _mm512_set1_epi64(-1));
+    let last_word: __mmask8 = (1u16 << live >> 1) as u8;
+    let last_valid =
+        _mm512_mask_mov_epi64(last_ones, last_word, _mm512_set1_epi64(input.tail as i64));
+
+    // One group of one pixel: `$load` reads 8 words of a slice from
+    // `$at`, and `$keep` masks a vector to the valid bits. A macro, so
+    // the whole groups, whose `$keep` is the identity, carry no mask.
+    macro_rules! group {
+        ($ops:expr, $at:expr, $load:expr, $keep:expr) => {{
+            let [a, b, c, d] = $ops.map($load);
+            let v = $load(input.basis);
+            // SAFETY: avx512f is guaranteed by this function's contract.
+            let (mx, my, ms) = unsafe {
+                (
+                    xoshiro_next_x8(&mut s),
+                    xoshiro_next_x8(&mut s),
+                    xoshiro_next_x8(&mut s),
+                )
+            };
+            let count = |acc: &mut __m512i, x: __m512i| {
+                *acc = _mm512_add_epi64(*acc, _mm512_popcnt_epi64(x));
+            };
+            let gx = $keep(_mm512_ternarylogic_epi64::<SELECT_NOT>(mx, a, b));
+            let gy = $keep(_mm512_ternarylogic_epi64::<SELECT_NOT>(my, c, d));
+            let (dx, dy) = (_mm512_xor_si512(gx, v), _mm512_xor_si512(gy, v));
+            count(&mut fixed[0], dx);
+            count(&mut fixed[1], dy);
+            count(
+                &mut fixed[2],
+                _mm512_ternarylogic_epi64::<SELECT>(ms, dx, dy),
+            );
+            count(
+                &mut fixed[3],
+                $keep(_mm512_ternarylogic_epi64::<SELECT_NOT>(ms, dx, dy)),
+            );
+            let group_codes = &codes.words[$at * n..($at + MASK_LANES) * n];
+            for i in 0..codes.masks {
+                // SAFETY: avx512f is guaranteed by this function's
+                // contract.
+                let m = unsafe { xoshiro_next_x8(&mut s) };
+                for k in codes.starts[i]..codes.starts[i + 1] {
+                    // SAFETY: a code's group is 8 words of the group's
+                    // codes; the load is unaligned.
+                    let code = unsafe {
+                        _mm512_loadu_si512(
+                            group_codes[k * MASK_LANES..][..MASK_LANES].as_ptr().cast(),
+                        )
+                    };
+                    // `α ⊕ V₁`: `m ? V ⊕ Gy : ¬dx` for a cot code,
+                    // `m ? dy : ¬(V ⊕ Gx)` for a tan code.
+                    let alpha = if codes.cot[k] {
+                        _mm512_ternarylogic_epi64::<SELECT_NOT>(m, _mm512_xor_si512(code, gy), dx)
+                    } else {
+                        _mm512_ternarylogic_epi64::<SELECT_NOT>(m, dy, _mm512_xor_si512(code, gx))
+                    };
+                    count(&mut code_acc[k], $keep(alpha));
+                }
+            }
+        }};
     }
-    if groups > 0 {
-        let at = (groups - 1) * MASK_LANES;
-        let live = words - at;
-        let lanes: __mmask8 = (1u16 << live).wrapping_sub(1) as u8;
-        // SAFETY: the mask enables exactly the `live` words present
-        // from `at`; masked-off elements are not read.
-        let load = |s: &[u64]| unsafe { _mm512_maskz_loadu_epi64(lanes, s[at..].as_ptr().cast()) };
-        // All ones in the live words, the final word's valid bits in
-        // the last: built in registers, as a store-and-load or a fill
-        // here cost more than the whole group.
-        let ones = _mm512_maskz_mov_epi64(lanes, _mm512_set1_epi64(-1));
-        let last: __mmask8 = 1 << (live - 1);
-        let valid = _mm512_mask_mov_epi64(ones, last, _mm512_set1_epi64(input.tail as i64));
-        let ops = [load(a), load(b), load(c), load(d)];
-        sweep(ops, load(input.basis), valid, group_codes(groups - 1));
+
+    for (ops, out) in input
+        .pixels
+        .iter()
+        .zip(counts.chunks_exact_mut(PIXEL_COUNTS + n))
+    {
+        let ops = ops.map(BitVector::as_words);
+        for g in 0..groups.saturating_sub(1) {
+            let at = g * MASK_LANES;
+            // SAFETY: every operand and the basis hold `words` words
+            // (`cell_sweep_on` checked their dimensions), and a group
+            // before the last lies inside them; loads are unaligned.
+            let load = |s: &[u64]| unsafe { _mm512_loadu_si512(s.as_ptr().add(at).cast()) };
+            group!(ops, at, load, |x| x);
+        }
+        if groups > 0 {
+            let at = (groups - 1) * MASK_LANES;
+            // SAFETY: as above, and the mask enables only the final
+            // group's live words; masked-off elements are not read.
+            let load = |s: &[u64]| unsafe {
+                _mm512_maskz_loadu_epi64(last_lanes, s.as_ptr().add(at).cast())
+            };
+            group!(ops, at, load, |x| _mm512_and_si512(x, last_valid));
+        }
+        for (o, x) in out.iter_mut().zip(&mut fixed) {
+            *o = _mm512_reduce_add_epi64(*x) as usize;
+            *x = zero;
+        }
+        for (&slot, x) in codes.slot.iter().zip(&mut code_acc) {
+            out[PIXEL_COUNTS + slot] = _mm512_reduce_add_epi64(*x) as usize;
+            *x = zero;
+        }
     }
-    for (out, sums) in code_counts.iter_mut().zip(code_acc) {
-        *out = [
-            _mm512_reduce_add_epi64(sums[0]) as u64,
-            _mm512_reduce_add_epi64(sums[1]) as u64,
-        ];
+    for (k, row) in s.iter().enumerate() {
+        // SAFETY: each state row holds 8 words; the store is unaligned.
+        unsafe { _mm512_storeu_si512(lanes.state[k].as_mut_ptr().cast(), *row) };
     }
-    acc.map(|x| _mm512_reduce_add_epi64(x) as u64)
 }
 
 #[cfg(test)]

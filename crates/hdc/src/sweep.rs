@@ -1,107 +1,175 @@
-//! The per-pixel gradient sweep of the HD-HOG cell pass.
+//! The HD-HOG cell sweep.
 //!
-//! A pixel of the stochastic HOG builds two halved central
-//! differences, `Gx = sub_halved(a, b)` and `Gy = sub_halved(c, d)`,
-//! each under a fresh ½ mask, and then reads only Hamming counts off
-//! them: their distances from `V₁` and from each other for the
-//! magnitude, and two distances per bin-boundary code for the tan
-//! tests. Built op by op that is 17 passes over the D bits — two mask
-//! fills with their zero-fills, two selects, two negations, two XORs,
-//! the two-pass product and five counts. [`gradient_sweep`] makes one:
-//! it generates both masks' words in registers, forms each gradient
-//! word from them and takes every count in the same pass, on the
-//! backend the mask stream runs on (`simd.rs`).
+//! A pixel of the stochastic HOG (paper §4.2–4.3) builds every vector
+//! it reads from ½ selections, and then reads only their distances
+//! from `V₁`:
 //!
-//! Counts are integers, so the sweep returns exactly what the unfused
-//! ops count — `tests/sweep_proptest.rs` holds every backend to them.
+//! - the halved central differences `Gx = m ? P(x+1) : ¬P(x−1)` and
+//!   `Gy` likewise;
+//! - the L1 magnitude's halved sum `m ? |Gx| : |Gy|`, where `|G|` is
+//!   `G` negated if it decodes negative;
+//! - each tan test's `α = m ? a : ¬b`, with `(a, b) = (Gy, V_t ⊗ Gx)`
+//!   for a tan code and `(V_{1/t} ⊗ Gy, Gx)` for a cot code.
+//!
+//! Built op by op that is a mask fill, a select, a negation and a
+//! count per vector. [`cell_sweep`] builds them all for every pixel of
+//! a cell in one kernel call, one 8-word group at a time: it steps the
+//! caller's [`MaskLanes`] for each ½ mask, forms each vector's words
+//! in registers and counts them as it goes. No vector is stored and
+//! nothing is drawn from a binomial law, so the counts are exactly
+//! those of the vector pipeline — `tests/sweep_proptest.rs` holds every
+//! backend to it.
 
 use crate::bitvec::BitVector;
 use crate::error::DimensionMismatchError;
-use crate::simd::{self, SimdBackend, SweepInput, MASK_LANES, SWEEP_CODES_PER_PASS};
+use crate::rng::HdcRng;
+use crate::simd::{self, SimdBackend, MASK_LANES};
 
 const WORD_BITS: usize = 64;
 
-/// The bin-boundary codes a pixel's tan tests compare against, laid
-/// out once for [`gradient_sweep`]: each code's words interleaved with
-/// the others' one 8-word group at a time (zero-padded to whole
-/// groups), so the sweep reads every code's words for a group from
-/// one run of memory, in chunks of at most eight codes.
+/// Counts [`cell_sweep`] writes per pixel before its codes' counts.
+pub const PIXEL_COUNTS: usize = 4;
+
+/// The eight xoshiro256++ lanes every ½ mask of [`cell_sweep`] comes
+/// from: word `j` of each 8-word group of a mask is the next output of
+/// lane `j`.
+///
+/// The lanes are seeded once, and every sweep steps them on from where
+/// the last one left them, so a caller that seeds one set per cell or
+/// window from its own stream keeps each a pure function of that
+/// stream.
+///
+/// ```
+/// use hdface_hdc::{HdcRng, MaskLanes, SeedableRng};
+///
+/// let mut lanes = MaskLanes::from_rng(&mut HdcRng::seed_from_u64(7));
+/// let first = lanes.clone().next_group();
+/// assert_eq!(lanes.next_group(), first);
+/// assert_ne!(lanes.next_group(), first);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MaskLanes {
+    /// State word `k` of lane `l` at `state[k][l]`.
+    pub(crate) state: [[u64; MASK_LANES]; 4],
+}
+
+impl MaskLanes {
+    /// Lanes whose state words are the next 32 words of `rng`, lane 0
+    /// first: a stream seeds its lanes by drawing them. A lane would
+    /// start in the all-zero state xoshiro never leaves only if four
+    /// words in a row of the stream were zero, a chance of about
+    /// 2⁻²⁵⁶ per lane.
+    #[must_use]
+    pub fn from_rng(rng: &mut HdcRng) -> Self {
+        let lanes: [[u64; 4]; MASK_LANES] =
+            std::array::from_fn(|_| [(); 4].map(|()| rng.next_u64()));
+        MaskLanes {
+            state: std::array::from_fn(|k| std::array::from_fn(|l| lanes[l][k])),
+        }
+    }
+
+    /// Steps every lane once: one 8-word group of a ½ mask, word `j`
+    /// from lane `j`.
+    pub fn next_group(&mut self) -> [u64; MASK_LANES] {
+        simd::step_lanes(&mut self.state)
+    }
+}
+
+/// The tan tests' boundary codes, laid out once for [`cell_sweep`]:
+/// each code with its kind and the `α` mask it is selected under.
+///
+/// Codes that share a mask share its words: a pixel reads only the
+/// codes of its own quadrant parity, so a boundary's even and odd codes
+/// can share one. A pixel steps the lanes once per mask per group,
+/// masks `0..masks()` in order, whatever its codes.
 ///
 /// ```
 /// use hdface_hdc::{BitVector, HdcRng, SeedableRng, SweepCodes};
 ///
 /// let mut rng = HdcRng::seed_from_u64(1);
 /// let (tan, cot) = (BitVector::random(100, &mut rng), BitVector::random(100, &mut rng));
-/// // `tan` is compared against Gx, `cot` against Gy.
-/// let codes = SweepCodes::new(100, &[(&tan, false), (&cot, true)]).unwrap();
-/// assert_eq!(codes.len(), 2);
+/// // A tan code and a cot code, both under α mask 0.
+/// let codes = SweepCodes::new(100, &[(&tan, false, 0), (&cot, true, 0)]).unwrap();
+/// assert_eq!((codes.len(), codes.masks()), (2, 1));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SweepCodes {
     dim: usize,
-    len: usize,
-    chunks: Vec<CodeChunk>,
-}
-
-/// Up to [`SWEEP_CODES_PER_PASS`] codes in the sweep's layout.
-#[derive(Debug, Clone)]
-struct CodeChunk {
-    /// Whether each code is compared against `Gy` (else `Gx`).
-    against_gy: Vec<bool>,
-    /// Word `8g + j` of code `k` at `words[(g·n + k)·8 + j]`.
-    words: Vec<u64>,
+    /// `α` masks per pixel and group: one past the highest mask index.
+    pub(crate) masks: usize,
+    /// The codes in mask order (stable): mask `i`'s codes are
+    /// `starts[i]..starts[i + 1]`.
+    pub(crate) starts: Vec<usize>,
+    /// Per code in mask order: whether it is a cot code.
+    pub(crate) cot: Vec<bool>,
+    /// Per code in mask order: its position in the caller's list.
+    pub(crate) slot: Vec<usize>,
+    /// Word `8g + j` of code `k` (mask order) at
+    /// `words[(g·len + k)·8 + j]`, zero past the last word up to a
+    /// whole 8-word group.
+    pub(crate) words: Vec<u64>,
 }
 
 impl SweepCodes {
-    /// Lays out `codes`, each paired with whether its tan test reads
-    /// `h(code, Gy)` (`true`) or `h(code, Gx)` (`false`).
+    /// Lays out `codes`, each given as `(code, cot, mask)`: a cot code
+    /// builds `α = m ? V ⊗ Gy : ¬Gx`, any other `α = m ? Gy : ¬(V ⊗ Gx)`,
+    /// under `α` mask `mask`.
     ///
     /// # Errors
     ///
     /// Returns [`DimensionMismatchError`] if a code's dimensionality
     /// is not `dim`.
-    pub fn new(dim: usize, codes: &[(&BitVector, bool)]) -> Result<Self, DimensionMismatchError> {
-        if let Some((code, _)) = codes.iter().find(|(code, _)| code.dim() != dim) {
+    pub fn new(
+        dim: usize,
+        codes: &[(&BitVector, bool, usize)],
+    ) -> Result<Self, DimensionMismatchError> {
+        if let Some((code, ..)) = codes.iter().find(|(code, ..)| code.dim() != dim) {
             return Err(DimensionMismatchError {
                 left: dim,
                 right: code.dim(),
             });
         }
-        let groups = dim.div_ceil(WORD_BITS).div_ceil(MASK_LANES);
-        let chunks = codes
-            .chunks(SWEEP_CODES_PER_PASS)
-            .map(|chunk| {
-                let n = chunk.len();
-                let mut words = vec![0u64; groups * n * MASK_LANES];
-                for (k, (code, _)) in chunk.iter().enumerate() {
-                    for (w, &word) in code.as_words().iter().enumerate() {
-                        let (g, j) = (w / MASK_LANES, w % MASK_LANES);
-                        words[(g * n + k) * MASK_LANES + j] = word;
-                    }
-                }
-                CodeChunk {
-                    against_gy: chunk.iter().map(|&(_, gy)| gy).collect(),
-                    words,
-                }
-            })
+        let masks = codes.iter().map(|&(.., mask)| mask + 1).max().unwrap_or(0);
+        let mut slot: Vec<usize> = (0..codes.len()).collect();
+        slot.sort_by_key(|&k| codes[k].2);
+        let starts = (0..=masks)
+            .map(|i| slot.partition_point(|&k| codes[k].2 < i))
             .collect();
+        let n = codes.len();
+        let groups = dim.div_ceil(WORD_BITS).div_ceil(MASK_LANES);
+        let mut words = vec![0u64; groups * n * MASK_LANES];
+        for (k, &s) in slot.iter().enumerate() {
+            for (w, &word) in codes[s].0.as_words().iter().enumerate() {
+                let (g, j) = (w / MASK_LANES, w % MASK_LANES);
+                words[(g * n + k) * MASK_LANES + j] = word;
+            }
+        }
         Ok(SweepCodes {
             dim,
-            len: codes.len(),
-            chunks,
+            masks,
+            starts,
+            cot: slot.iter().map(|&k| codes[k].1).collect(),
+            slot,
+            words,
         })
     }
 
     /// Number of codes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.slot.len()
     }
 
     /// `true` if there are no codes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.slot.is_empty()
+    }
+
+    /// Number of `α` masks a pixel steps per group.
+    #[must_use]
+    pub fn masks(&self) -> usize {
+        self.masks
     }
 
     /// Dimensionality of the codes.
@@ -111,126 +179,60 @@ impl SweepCodes {
     }
 }
 
-/// The magnitude's and the quadrant's counts from one
-/// [`gradient_sweep`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GradientCounts {
-    /// `h(Gx, V₁)`.
-    pub hx: usize,
-    /// `h(Gy, V₁)`.
-    pub hy: usize,
-    /// `h(Gx, Gy)`.
-    pub hxy: usize,
-}
-
-/// One pixel's counts in one pass over the D bits, with the
-/// process-wide [`active_backend`](crate::active_backend).
+/// One cell's counts in one kernel call, with the process-wide
+/// [`active_backend`](crate::active_backend).
 ///
-/// `Gx` is what `sub_halved_into(x[0], x[1])` builds under the ½ mask
-/// that [`BitVector::fill_with_density`] draws from a generator whose
-/// next word is `seeds[0]`, and `Gy` likewise from `y` and `seeds[1]`:
-/// the mask's bits where it is set, the second operand's negated bits
-/// where it is clear. Neither is stored. Returns `h(Gx, V₁)`,
-/// `h(Gy, V₁)` and `h(Gx, Gy)`, and sets `code_counts[k]` to
-/// `[h(code, G), h(code, Gx ⊗ Gy)]` for code `k`, where `G` is the
-/// gradient the code is compared against and
-/// `Gx ⊗ Gy = Gx ⊕ Gy ⊕ V₁` is the stochastic product.
+/// `pixels[p]` is `[P(x+1), P(x−1), P(y+1), P(y−1)]` for pixel `p`.
+/// Pixels go in order; for each 8-word group of a pixel every lane
+/// steps once for `Gx`'s mask, then `Gy`'s, then the magnitude's
+/// (`m` below), then `α` masks `0..codes.masks()`, a ragged last
+/// group included. With `s = PIXEL_COUNTS + codes.len()`, pixel `p`'s
+/// counts are `counts[p·s..(p + 1)·s]`:
+///
+/// - `h(Gx, V₁)`, `h(Gy, V₁)`;
+/// - `h(m ? Gx : Gy, V₁)` and `h(m ? Gx : ¬Gy, V₁)`, from which the
+///   magnitude's `h(m ? |Gx| : |Gy|, V₁)` follows for either pair of
+///   signs (negating the selection turns `h` into `D − h`);
+/// - `h(α_k, V₁)` for code `k`, in the caller's order.
 ///
 /// # Errors
 ///
 /// Returns [`DimensionMismatchError`] if an operand, the basis or the
-/// codes differ in dimensionality.
+/// codes differ in dimensionality; `lanes` is then untouched.
 ///
 /// # Panics
 ///
-/// Panics if `code_counts.len() != codes.len()`.
-pub fn gradient_sweep(
-    seeds: [u64; 2],
-    x: [&BitVector; 2],
-    y: [&BitVector; 2],
+/// Panics if `counts.len() != pixels.len() · s`.
+pub fn cell_sweep(
+    lanes: &mut MaskLanes,
+    pixels: &[[&BitVector; 4]],
     basis: &BitVector,
     codes: &SweepCodes,
-    code_counts: &mut [[usize; 2]],
-) -> Result<GradientCounts, DimensionMismatchError> {
-    gradient_sweep_on(
-        simd::active_backend(),
-        seeds,
-        x,
-        y,
-        basis,
-        codes,
-        code_counts,
-    )
+    counts: &mut [usize],
+) -> Result<(), DimensionMismatchError> {
+    cell_sweep_on(simd::active_backend(), lanes, pixels, basis, codes, counts)
 }
 
-/// [`gradient_sweep`] on an explicit backend. Every backend returns the
-/// same counts; one this machine cannot run falls back to scalar, and
-/// an AVX-512 machine without `avx512vpopcntdq` runs the AVX2 sweep.
+/// [`cell_sweep`] on an explicit backend. Every backend returns the
+/// same counts and leaves the lanes in the same state; one this
+/// machine cannot run falls back to scalar, and an AVX-512 machine
+/// without `avx512vpopcntdq` runs the AVX2 sweep.
 ///
 /// # Errors
 ///
 /// Returns [`DimensionMismatchError`] if an operand, the basis or the
-/// codes differ in dimensionality.
+/// codes differ in dimensionality; `lanes` is then untouched.
 ///
 /// # Panics
 ///
-/// Panics if `code_counts.len() != codes.len()`.
-pub fn gradient_sweep_on(
+/// Panics if `counts.len() != pixels.len() · (PIXEL_COUNTS + codes.len())`.
+pub fn cell_sweep_on(
     backend: SimdBackend,
-    seeds: [u64; 2],
-    x: [&BitVector; 2],
-    y: [&BitVector; 2],
+    lanes: &mut MaskLanes,
+    pixels: &[[&BitVector; 4]],
     basis: &BitVector,
     codes: &SweepCodes,
-    code_counts: &mut [[usize; 2]],
-) -> Result<GradientCounts, DimensionMismatchError> {
-    let dim = basis.dim();
-    let operands = [x[0], x[1], y[0], y[1]];
-    if let Some(right) = operands
-        .iter()
-        .map(|v| v.dim())
-        .chain([codes.dim])
-        .find(|&d| d != dim)
-    {
-        return Err(DimensionMismatchError { left: dim, right });
-    }
-    assert_eq!(
-        code_counts.len(),
-        codes.len,
-        "one count pair per boundary code"
-    );
-    let rem = dim % WORD_BITS;
-    let base = SweepInput {
-        seeds,
-        operands: operands.map(BitVector::as_words),
-        basis: basis.as_words(),
-        tail: if rem == 0 { u64::MAX } else { (1 << rem) - 1 },
-        codes: &[],
-        against_gy: &[],
-    };
-    // Each chunk of codes is one pass; every pass rebuilds the same
-    // gradients from the same seeds, and the first one's counts are
-    // kept.
-    let mut gradient = None;
-    let mut pass = [[0u64; 2]; SWEEP_CODES_PER_PASS];
-    for (chunk, out) in codes
-        .chunks
-        .iter()
-        .zip(code_counts.chunks_mut(SWEEP_CODES_PER_PASS))
-    {
-        let pass = &mut pass[..chunk.against_gy.len()];
-        let input = SweepInput {
-            codes: &chunk.words,
-            against_gy: &chunk.against_gy,
-            ..base
-        };
-        let counts = simd::gradient_sweep_with(backend, &input, pass);
-        gradient.get_or_insert(counts);
-        for (o, p) in out.iter_mut().zip(pass.iter()) {
-            *o = p.map(|c| c as usize);
-        }
-    }
-    let counts = gradient.unwrap_or_else(|| simd::gradient_sweep_with(backend, &base, &mut []));
-    let [hx, hy, hxy] = counts.map(|c| c as usize);
-    Ok(GradientCounts { hx, hy, hxy })
+    counts: &mut [usize],
+) -> Result<(), DimensionMismatchError> {
+    simd::cell_sweep_with(backend, lanes, pixels, basis, codes, counts)
 }

@@ -1,25 +1,25 @@
-//! Differential tests for the per-pixel gradient sweep: on every
-//! backend, called explicitly, `gradient_sweep_on` must return exactly
-//! the counts the unfused ops produce — two ½ masks from
-//! `fill_with_density` on the generator the seeds come from,
-//! `select_into`, `negate` and `xor_assign` for each gradient, the
-//! product by `xor_assign`, and `hamming` for every count.
+//! Differential tests for the cell sweep: on every backend, called
+//! explicitly, `cell_sweep_on` must return exactly the counts of the
+//! vector pipeline — each ½ mask stepped from a cloned `MaskLanes` in
+//! the sweep's order, each vector built with `select_into`, `negate`
+//! and `xor`, `|G|` by the sign test, every count by `hamming` — and
+//! leave the lanes where the pipeline leaves them.
 //!
 //! Dimensions straddle the 64-bit word and the 8-word lane group, so
 //! every kernel's ragged last group and partial last word are hit;
-//! probe (boundary-code) counts run from none to four, each compared
-//! against either gradient, and one directed case crosses the sweep's
-//! eight-code chunk.
+//! code lists run from none to sixteen, each code a tan or a cot code
+//! under one of up to four shared `α` masks, and cells from no pixel
+//! to seventy.
 
 use hdface_hdc::{
-    active_backend, gradient_sweep, gradient_sweep_on, BitVector, GradientCounts, HdcRng,
-    SeedableRng, SimdBackend, SweepCodes,
+    active_backend, cell_sweep, cell_sweep_on, BitVector, HdcRng, MaskLanes, SeedableRng,
+    SimdBackend, SweepCodes, PIXEL_COUNTS,
 };
 use proptest::prelude::*;
 
 /// Every backend variant. One this CPU cannot run falls back to scalar
 /// (as `every_mask_kernel_matches_scalar` relies on), so every kernel
-/// the CPU supports is held to the unfused ops.
+/// the CPU supports is held to the vector pipeline.
 const BACKENDS: [SimdBackend; 4] = [
     SimdBackend::Scalar,
     SimdBackend::Avx2,
@@ -40,153 +40,218 @@ fn arb_dim() -> impl Strategy<Value = usize> {
     })
 }
 
-/// `sub_halved_into(a, b)` as the cell pass built it before the sweep.
-fn unfused_sub_halved(a: &BitVector, b: &BitVector, rng: &mut HdcRng) -> BitVector {
-    let mut mask = BitVector::zeros(a.dim());
-    mask.fill_with_density(0.5, rng).unwrap();
-    let mut out = BitVector::zeros(a.dim());
-    a.select_into(b, &mask, &mut out).unwrap();
-    mask.negate();
-    out.xor_assign(&mask).unwrap();
+/// A boundary code: its vector, whether it is a cot code, its `α` mask.
+type Code = (BitVector, bool, usize);
+
+/// One pixel's `count` ½ masks, stepped group by group in the sweep's
+/// order: every mask's group `g` before any mask's group `g + 1`.
+fn pixel_masks(lanes: &mut MaskLanes, dim: usize, count: usize) -> Vec<BitVector> {
+    let groups = dim.div_ceil(64).div_ceil(8);
+    let mut words = vec![vec![0u64; groups * 8]; count];
+    for g in 0..groups {
+        for mask in &mut words {
+            mask[g * 8..(g + 1) * 8].copy_from_slice(&lanes.next_group());
+        }
+    }
+    words
+        .into_iter()
+        .map(|w| BitVector::from_words(dim, w))
+        .collect()
+}
+
+/// `m ? x : y`.
+fn select(x: &BitVector, y: &BitVector, m: &BitVector) -> BitVector {
+    let mut out = BitVector::zeros(x.dim());
+    x.select_into(y, m, &mut out).unwrap();
     out
 }
 
-/// The counts the sweep must return, from the unfused ops.
-fn unfused_counts(
-    seed: u64,
-    ops: &[BitVector; 4],
+/// `¬v`.
+fn negated(v: &BitVector) -> BitVector {
+    let mut out = v.clone();
+    out.negate();
+    out
+}
+
+/// The stochastic product `x ⊗ y = x ⊕ y ⊕ V₁`.
+fn mul(x: &BitVector, y: &BitVector, basis: &BitVector) -> BitVector {
+    x.xor(y).unwrap().xor(basis).unwrap()
+}
+
+/// `|G|`: `G` negated if it decodes negative (is closer to `V₋₁`).
+fn abs(g: &BitVector, basis: &BitVector) -> BitVector {
+    if 2 * g.hamming(basis).unwrap() <= g.dim() {
+        g.clone()
+    } else {
+        negated(g)
+    }
+}
+
+/// The counts the sweep must write, and the lanes it must leave, from
+/// the vector pipeline.
+fn pipeline(
+    lanes: &MaskLanes,
+    pixels: &[[BitVector; 4]],
     basis: &BitVector,
-    probes: &[(BitVector, bool)],
-) -> (GradientCounts, Vec<[usize; 2]>) {
-    let mut rng = HdcRng::seed_from_u64(seed);
-    let gx = unfused_sub_halved(&ops[0], &ops[1], &mut rng);
-    let gy = unfused_sub_halved(&ops[2], &ops[3], &mut rng);
-    let mut gxy = gx.clone();
-    gxy.xor_assign(&gy).unwrap();
-    gxy.xor_assign(basis).unwrap();
-    let counts = GradientCounts {
-        hx: gx.hamming(basis).unwrap(),
-        hy: gy.hamming(basis).unwrap(),
-        hxy: gx.hamming(&gy).unwrap(),
-    };
-    let probe_counts = probes
-        .iter()
-        .map(|(code, against_gy)| {
-            let g = if *against_gy { &gy } else { &gx };
-            [code.hamming(g).unwrap(), code.hamming(&gxy).unwrap()]
-        })
-        .collect();
-    (counts, probe_counts)
+    codes: &[Code],
+) -> (Vec<usize>, MaskLanes) {
+    let mut lanes = lanes.clone();
+    let dim = basis.dim();
+    let alpha_masks = codes.iter().map(|c| c.2 + 1).max().unwrap_or(0);
+    let h = |v: &BitVector| v.hamming(basis).unwrap();
+    let mut counts = Vec::new();
+    for [a, b, c, d] in pixels {
+        let masks = pixel_masks(&mut lanes, dim, 3 + alpha_masks);
+        let gx = select(a, &negated(b), &masks[0]);
+        let gy = select(c, &negated(d), &masks[1]);
+        let m = &masks[2];
+        counts.extend([
+            h(&gx),
+            h(&gy),
+            h(&select(&gx, &gy, m)),
+            h(&select(&gx, &negated(&gy), m)),
+        ]);
+        // The two selections give the magnitude for the signs at hand.
+        let sum = select(&abs(&gx, basis), &abs(&gy, basis), m);
+        let (gx_pos, gy_pos) = (2 * h(&gx) <= dim, 2 * h(&gy) <= dim);
+        let picked = counts[counts.len() - 2 + usize::from(gx_pos != gy_pos)];
+        assert_eq!(h(&sum), if gx_pos { picked } else { dim - picked });
+        for (code, cot, mask) in codes {
+            let (x, y) = if *cot {
+                (mul(code, &gy, basis), gx.clone())
+            } else {
+                (gy.clone(), mul(code, &gx, basis))
+            };
+            counts.push(h(&select(&x, &negated(&y), &masks[3 + mask])));
+        }
+    }
+    (counts, lanes)
 }
 
-/// The two mask seeds `fill_with_density` draws from `seed`'s
-/// generator, one per ½ mask.
-fn mask_seeds(seed: u64) -> [u64; 2] {
-    let mut rng = HdcRng::seed_from_u64(seed);
-    [rng.next_u64(), rng.next_u64()]
-}
-
-/// Holds every backend and the dispatched entry point to the unfused
-/// counts.
-fn check(seed: u64, ops: &[BitVector; 4], basis: &BitVector, probes: &[(BitVector, bool)]) {
-    let (want, want_probes) = unfused_counts(seed, ops, basis, probes);
-    let layout: Vec<(&BitVector, bool)> = probes.iter().map(|(c, gy)| (c, *gy)).collect();
-    let codes = SweepCodes::new(basis.dim(), &layout).unwrap();
-    let seeds = mask_seeds(seed);
+/// Holds every backend and the dispatched entry point to the vector
+/// pipeline.
+fn check(seed: u64, pixels: &[[BitVector; 4]], basis: &BitVector, codes: &[Code]) {
+    let lanes = MaskLanes::from_rng(&mut HdcRng::seed_from_u64(seed));
+    let (want, want_lanes) = pipeline(&lanes, pixels, basis, codes);
+    let layout: Vec<(&BitVector, bool, usize)> =
+        codes.iter().map(|(c, cot, m)| (c, *cot, *m)).collect();
+    let sweep_codes = SweepCodes::new(basis.dim(), &layout).unwrap();
+    let refs: Vec<[&BitVector; 4]> = pixels.iter().map(|p| p.each_ref()).collect();
+    let dim = basis.dim();
     for backend in BACKENDS {
-        let mut got_probes = vec![[usize::MAX; 2]; probes.len()];
-        let got = gradient_sweep_on(
+        let mut got_lanes = lanes.clone();
+        let mut got = vec![usize::MAX; pixels.len() * (PIXEL_COUNTS + codes.len())];
+        cell_sweep_on(
             backend,
-            seeds,
-            [&ops[0], &ops[1]],
-            [&ops[2], &ops[3]],
+            &mut got_lanes,
+            &refs,
             basis,
-            &codes,
-            &mut got_probes,
+            &sweep_codes,
+            &mut got,
         )
         .unwrap();
-        assert_eq!(got, want, "D={} backend {}", basis.dim(), backend.name());
-        assert_eq!(
-            got_probes,
-            want_probes,
-            "D={} backend {}",
-            basis.dim(),
-            backend.name()
-        );
+        assert_eq!(got, want, "D={dim} backend {}", backend.name());
+        assert_eq!(got_lanes, want_lanes, "D={dim} backend {}", backend.name());
     }
-    let mut got_probes = vec![[0; 2]; probes.len()];
-    let got = gradient_sweep(
-        seeds,
-        [&ops[0], &ops[1]],
-        [&ops[2], &ops[3]],
-        basis,
-        &codes,
-        &mut got_probes,
-    )
-    .unwrap();
-    assert_eq!(got, want, "active backend {}", active_backend().name());
-    assert_eq!(got_probes, want_probes);
+    let mut got_lanes = lanes.clone();
+    let mut got = vec![0; want.len()];
+    cell_sweep(&mut got_lanes, &refs, basis, &sweep_codes, &mut got).unwrap();
+    assert_eq!(
+        got,
+        want,
+        "D={dim} active backend {}",
+        active_backend().name()
+    );
+    assert_eq!(got_lanes, want_lanes);
+}
+
+fn random_pixels(n: usize, dim: usize, rng: &mut HdcRng) -> Vec<[BitVector; 4]> {
+    (0..n)
+        .map(|_| std::array::from_fn(|_| BitVector::random(dim, rng)))
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Random operands, basis, probes and seeds: every backend's counts
-    /// equal the unfused ops' counts.
+    /// Random operands, basis, codes and lanes: every backend's counts
+    /// and lanes equal the vector pipeline's.
     #[test]
-    fn every_backend_counts_what_the_unfused_ops_count(
+    fn every_backend_counts_what_the_vector_pipeline_builds(
         dim in arb_dim(),
-        n_probes in 0usize..=4,
+        n_pixels in 0usize..=70,
+        n_codes in 0usize..=16,
         data_seed in any::<u64>(),
-        mask_seed in any::<u64>(),
+        lane_seed in any::<u64>(),
     ) {
         let mut rng = HdcRng::seed_from_u64(data_seed);
-        let ops = std::array::from_fn(|_| BitVector::random(dim, &mut rng));
+        // Fewer pixels at the large dimensions keep a case quick.
+        let n_pixels = if dim > 2000 { n_pixels / 8 } else { n_pixels };
+        let pixels = random_pixels(n_pixels, dim, &mut rng);
         let basis = BitVector::random(dim, &mut rng);
-        let probes: Vec<(BitVector, bool)> = (0..n_probes)
-            .map(|_| (BitVector::random(dim, &mut rng), rng.random_bool(0.5)))
+        let codes: Vec<Code> = (0..n_codes)
+            .map(|_| {
+                let code = BitVector::random(dim, &mut rng);
+                (code, rng.random_bool(0.5), rng.random_range(0..4))
+            })
             .collect();
-        check(mask_seed, &ops, &basis, &probes);
+        check(lane_seed, &pixels, &basis, &codes);
     }
 
     /// Degenerate operands — each gradient's two neighbours equal, or
-    /// the basis itself and its negation — where whole words of a
-    /// count are zero or full.
+    /// the basis itself and its negation, and codes equal to either —
+    /// where whole words of a count are zero or full.
     #[test]
-    fn degenerate_operands_count_alike(dim in arb_dim(), mask_seed in any::<u64>(), data_seed in any::<u64>()) {
+    fn degenerate_operands_count_alike(dim in arb_dim(), lane_seed in any::<u64>(), data_seed in any::<u64>()) {
         let mut rng = HdcRng::seed_from_u64(data_seed);
         let basis = BitVector::random(dim, &mut rng);
         let same = BitVector::random(dim, &mut rng);
-        let ops = [same.clone(), same, basis.clone(), basis.negated()];
-        let probes = vec![(basis.clone(), false), (basis.negated(), true)];
-        check(mask_seed, &ops, &basis, &probes);
+        let pixels = vec![
+            [same.clone(), same.clone(), basis.clone(), negated(&basis)],
+            [basis.clone(), basis.clone(), negated(&basis), negated(&basis)],
+        ];
+        let codes = vec![(basis.clone(), false, 0), (negated(&basis), true, 0), (same, true, 1)];
+        check(lane_seed, &pixels, &basis, &codes);
     }
 }
 
-/// More codes than one pass holds: the sweep runs them in chunks, and
-/// every chunk's counts still match.
+/// The HD-HOG layout at 16 bins: three boundaries per quadrant parity,
+/// the even and odd code of each sharing its `α` mask.
 #[test]
-fn code_lists_longer_than_one_pass_match() {
+fn paired_parity_codes_share_their_masks() {
     for dim in [1usize, 65, 4096, 8193] {
         let mut rng = HdcRng::seed_from_u64(dim as u64);
-        let ops = std::array::from_fn(|_| BitVector::random(dim, &mut rng));
+        let pixels = random_pixels(9, dim, &mut rng);
         let basis = BitVector::random(dim, &mut rng);
-        let probes: Vec<(BitVector, bool)> = (0..19)
-            .map(|k| (BitVector::random(dim, &mut rng), k % 3 == 0))
+        let codes: Vec<Code> = (0..6)
+            .map(|k| (BitVector::random(dim, &mut rng), k % 3 == 2, k % 3))
             .collect();
-        check(7, &ops, &basis, &probes);
+        check(7, &pixels, &basis, &codes);
     }
 }
 
 #[test]
-fn mismatched_dimensions_are_errors() {
+fn mis_sized_operands_are_refused_before_any_lane_steps() {
     let mut rng = HdcRng::seed_from_u64(1);
     let v = BitVector::random(100, &mut rng);
     let short = BitVector::random(99, &mut rng);
-    let codes = SweepCodes::new(100, &[(&v, false)]).unwrap();
-    let mut out = [[0; 2]];
-    assert!(gradient_sweep([1, 2], [&v, &short], [&v, &v], &v, &codes, &mut out).is_err());
-    assert!(gradient_sweep([1, 2], [&v, &v], [&v, &v], &short, &codes, &mut out).is_err());
-    assert!(SweepCodes::new(100, &[(&short, true)]).is_err());
-    assert!(gradient_sweep([1, 2], [&v, &v], [&v, &v], &v, &codes, &mut out).is_ok());
+    let codes = SweepCodes::new(100, &[(&v, false, 0)]).unwrap();
+    let fresh = MaskLanes::from_rng(&mut HdcRng::seed_from_u64(3));
+    let mut out = vec![0; 2 * (PIXEL_COUNTS + 1)];
+    for backend in BACKENDS {
+        let mut lanes = fresh.clone();
+        let bad_pixel = [[&v, &v, &v, &v], [&v, &v, &v, &short]];
+        assert!(cell_sweep_on(backend, &mut lanes, &bad_pixel, &v, &codes, &mut out).is_err());
+        let good = [[&v, &v, &v, &v], [&v, &v, &v, &v]];
+        assert!(cell_sweep_on(backend, &mut lanes, &good, &short, &codes, &mut out).is_err());
+        assert_eq!(lanes, fresh, "backend {}", backend.name());
+    }
+    let short_codes = SweepCodes::new(99, &[(&short, true, 0)]).unwrap();
+    let mut lanes = fresh.clone();
+    let good = [[&v, &v, &v, &v], [&v, &v, &v, &v]];
+    assert!(cell_sweep(&mut lanes, &good, &v, &short_codes, &mut out).is_err());
+    assert_eq!(lanes, fresh);
+    assert!(SweepCodes::new(100, &[(&short, true, 0)]).is_err());
+    assert!(cell_sweep(&mut lanes, &good, &v, &codes, &mut out).is_ok());
+    assert_ne!(lanes, fresh);
 }

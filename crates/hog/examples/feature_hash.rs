@@ -10,14 +10,16 @@
 //! ```
 //!
 //! Expected output with the workspace's `HdcRng` (xoshiro256++), the
-//! wide mask stream, the pixel codebook, the L1 magnitude drawn from
-//! its fair count and the `[0, 1/32]` slot codebook, identical under
-//! `HDFACE_NO_SIMD=0` and `HDFACE_NO_SIMD=1`:
+//! pixel codebook, each cell pass one cell sweep on its scratch's
+//! mask lanes (the vector pipeline bit for bit: every ½ mask stepped
+//! from the lanes, the L1 magnitude and each tan test's `α` counted,
+//! nothing drawn from a binomial law) and the `[0, 1/32]` slot
+//! codebook, identical under `HDFACE_NO_SIMD=0` and `HDFACE_NO_SIMD=1`:
 //!
 //! ```text
-//! dim 1024: window e47f57ae3fc5f683 cached 4c3d192eac216a42
-//! dim 4096: window c5d7d186a67d5962 cached e7b8928d0a756ac2
-//! dim 8193: window 3db44e676c08a208 cached e22c83a8ac1ca455
+//! dim 1024: window 60d7f8af7f9ea5fb cached dff9d944dc112238
+//! dim 4096: window df28a2fe51434474 cached 6b715cae078f3fa3
+//! dim 8193: window b984df6b1f374f92 cached a0abba5accff6354
 //! ```
 //!
 //! `scripts/check-pins.sh` diffs this program's output against the

@@ -33,22 +33,26 @@
 //!    feature hypervector ready for HDC learning — "there is no need
 //!    for HDC encoding to map data points into high-dimension".
 //!
-//! Stages 2–4 read the gradients only through Hamming counts, so a
-//! pixel is one sweep over the D bits
-//! ([`StochasticContext::gradient_sweep`]): both ½ masks, both
-//! gradients, their product and every count the magnitude, quadrant
-//! and tan tests read come out of a single pass, and no vector of the
-//! pixel is stored. The magnitude and each tan test's sign are then
-//! drawn from their exact laws on those counts. Stage 6 bundles a
-//! window's bound slots as one list, eight at a time through a
-//! carry-save tree ([`BitSlicedBundler::bind_accumulate_all`]).
+//! Stages 2–4 read their vectors only through Hamming counts, so a
+//! whole cell is one sweep ([`hdface_hdc::cell_sweep`]) on the
+//! scratch's mask lanes: for every pixel it builds `Gx`, `Gy`, the
+//! magnitude's halved sum and each tan test's `α` under their own ½
+//! masks, word by word, and counts each one's distance from `V₁` as it
+//! goes. The cell pass is thus the paper's vector pipeline bit for
+//! bit; no vector of a pixel is stored and no sampler runs in it.
+//! Stage 6 bundles a window's bound slots as one list, eight at a time
+//! through a carry-save tree
+//! ([`BitSlicedBundler::bind_accumulate_all`]).
 
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLock, RwLockReadGuard};
 
-use hdface_hdc::{BitSlicedBundler, BitVector, HdcRng, SeedableRng, SweepCodes};
+use hdface_hdc::{
+    cell_sweep, BitSlicedBundler, BitVector, HdcRng, MaskLanes, SeedableRng, SweepCodes,
+    PIXEL_COUNTS,
+};
 use hdface_imaging::GrayImage;
 use hdface_stochastic::{derive_coord_seed, Shv, StochasticContext, StochasticError};
 
@@ -105,8 +109,10 @@ impl From<StochasticError> for HyperHogError {
     }
 }
 
-/// Per-worker mutable extraction state: the stochastic-mask RNG
-/// stream, plus the reusable bundler windows are assembled in.
+/// Per-worker mutable extraction state: the mask lanes every ½
+/// selection of the cell pass steps, the RNG stream they are seeded
+/// from (which then breaks the bundler's ties), and the reusable
+/// bundler and count buffer.
 ///
 /// Everything value-defining (basis, codebooks, slot keys) lives in
 /// the shared, read-only [`HyperHog`]; a `HogScratch` is the only
@@ -119,16 +125,23 @@ impl From<StochasticError> for HyperHogError {
 #[derive(Debug)]
 pub struct HogScratch {
     mask_rng: HdcRng,
+    /// Seeded once from `mask_rng`; every cell pass on this scratch
+    /// steps them on.
+    lanes: MaskLanes,
     /// Reusable bit-sliced bundling kernel: reset per window, so the
     /// steady-state bind-and-accumulate loop never allocates.
     bundler: BitSlicedBundler,
+    /// Reusable per-pixel counts of a cell's sweep.
+    counts: Vec<usize>,
 }
 
 impl HogScratch {
-    fn new(mask_rng: HdcRng) -> Self {
+    fn new(mut mask_rng: HdcRng) -> Self {
         HogScratch {
+            lanes: MaskLanes::from_rng(&mut mask_rng),
             mask_rng,
             bundler: BitSlicedBundler::new(0),
+            counts: Vec::new(),
         }
     }
 }
@@ -172,7 +185,8 @@ pub struct HyperHog {
     even_codes: Vec<BoundaryCode>,
     /// Boundary codes for odd quadrants (1, 3), increasing angle.
     odd_codes: Vec<BoundaryCode>,
-    /// The even codes then the odd ones, laid out for the pixel sweep.
+    /// The even codes then the odd ones, laid out for the cell sweep;
+    /// boundary `i`'s two codes share `α` mask `i`.
     sweep_codes: SweepCodes,
     /// Correlative level codebook spanning the slot value range
     /// `[0, LEVEL_RANGE_MAX]` in `L = SLOT_LEVELS` levels:
@@ -379,10 +393,11 @@ impl HyperHog {
             .map(|&(r, _)| make_code(-1.0 / r))
             .collect();
 
-        let sweep_layout: Vec<(&BitVector, bool)> = even_codes
+        let sweep_layout: Vec<(&BitVector, bool, usize)> = even_codes
             .iter()
-            .chain(&odd_codes)
-            .map(|code| (code.shv.as_bits(), code.use_cot))
+            .enumerate()
+            .chain(odd_codes.iter().enumerate())
+            .map(|(i, code)| (code.shv.as_bits(), code.use_cot, i))
             .collect();
         let sweep_codes =
             SweepCodes::new(config.dim, &sweep_layout).expect("codes have the context's D");
@@ -439,12 +454,15 @@ impl HyperHog {
 
     /// The codebook vector of the pixel at `(x, y)`, coordinates
     /// clamped into the image: value `v ∈ [0, 1]` reads level
-    /// `round(255·v)`.
+    /// `round(255·v)`. For an `f32` pixel `255·v` is exact in `f64`, and
+    /// so is adding ½, so truncating that sum rounds half away from
+    /// zero exactly as `round` does, without its out-of-line call on
+    /// baseline x86-64.
     fn pixel_code(&self, image: &GrayImage, x: isize, y: isize) -> &Shv {
         let x = x.clamp(0, image.width() as isize - 1) as usize;
         let y = y.clamp(0, image.height() as isize - 1) as usize;
         let v = f64::from(image.get(x, y)).clamp(0.0, 1.0);
-        &self.pixel_codes[(v * (Self::PIXEL_LEVELS - 1) as f64).round() as usize]
+        &self.pixel_codes[(v * (Self::PIXEL_LEVELS - 1) as f64 + 0.5) as usize]
     }
 
     /// Maps a slot scalar (the popcount read-out produced during
@@ -483,118 +501,106 @@ impl HyperHog {
         ))
     }
 
-    /// Decides `Gy/Gx > t` for one boundary code from the sign of the
-    /// paper's `α`, a halved difference of `V_t ⊗ G` and the other
-    /// gradient. Only that sign is ever read, so it is drawn from its
-    /// law ([`StochasticContext::sub_halved_is_non_negative_at`]) on
-    /// three Hamming counts instead of building `α`: the other
-    /// gradient's distance `hx` or `hy` from `V₁`,
-    /// `h(V_t ⊗ G, V₁) = h(V_t, G)` and
-    /// `h(V_t ⊗ G, G') = h(V_t, Gx ⊗ Gy)` — the code's two counts from
-    /// the pixel's sweep, `[h_prod, across]`.
-    fn tan_exceeds(
-        &self,
-        (hx, hy): (usize, usize),
-        gx_non_neg: bool,
-        code_even: bool,
-        index: usize,
-        [h_prod, across]: [usize; 2],
-        mask_rng: &mut HdcRng,
-    ) -> bool {
-        let code = if code_even {
-            &self.even_codes[index]
-        } else {
-            &self.odd_codes[index]
-        };
-        if code.use_cot {
-            // α = (Gy·(1/t) − Gx)/2 ; sign(Gy − t·Gx) = sign(t)·sign(α).
-            let alpha_pos = self
-                .ctx
-                .sub_halved_is_non_negative_at(h_prod, hx, across, mask_rng);
-            (alpha_pos == (code.t >= 0.0)) == gx_non_neg
-        } else {
-            // α = (Gy − t·Gx)/2 ; Gy/Gx > t ⟺ sign(α) = sign(Gx).
-            let alpha_pos = self
-                .ctx
-                .sub_halved_is_non_negative_at(hy, h_prod, across, mask_rng);
-            alpha_pos == gx_non_neg
-        }
-    }
-
     /// The per-pixel gradient → magnitude → angle-bin pipeline over
     /// one cell of `image` whose top-left pixel is `(x0, y0)`, adding
     /// each pixel's read-out magnitude to its bin of `sums` (a
     /// `bins`-long slice). Pixels are read from the pixel codebook,
-    /// clamped at the image border.
+    /// clamped at the image border, and the cell's pixels with their
+    /// one-pixel border are looked up once.
     ///
-    /// A pixel is one [`StochasticContext::gradient_sweep`]: both
-    /// gradients' masks, the gradients themselves and every count the
-    /// pixel reads come out of a single pass over the D bits, and no
-    /// vector is stored. What would only be decoded is never built:
-    /// the magnitude `(|Gx| + |Gy|)/2` and each tan comparison's `α`
-    /// are drawn from their exact laws on those counts. RNG draws
-    /// happen in a fixed order per pixel — gradients, magnitude, tan
-    /// comparisons — which is all that defines the output bits.
+    /// The whole cell is one [`cell_sweep`] on the scratch's mask
+    /// lanes: for every pixel it builds `Gx`, `Gy`, the magnitude's
+    /// halved sum and each tan test's `α` under their own ½ masks,
+    /// word by word, and counts each vector's distance from `V₁`. So
+    /// the pass is the paper's vector pipeline bit for bit, no vector
+    /// is stored and no law is sampled; what is left here reads the
+    /// signs and the magnitude off those counts.
     ///
     /// Shared by the per-window path
     /// ([`extract_slots_with`](Self::extract_slots_with)) and the
     /// level-cache path
     /// ([`compute_level_cell`](Self::compute_level_cell)), which run
-    /// it on different mask streams.
+    /// it on different scratches.
     fn cell_pass(
         &self,
         image: &GrayImage,
         x0: usize,
         y0: usize,
         sums: &mut [f64],
-        mask_rng: &mut HdcRng,
+        scratch: &mut HogScratch,
     ) -> Result<(), HyperHogError> {
-        let at = |x: isize, y: isize| self.pixel_code(image, x, y);
         let c = self.config.hog.cell_size;
-        let n_bounds = self.boundaries.tangents().len();
+        let side = c + 2;
+        let grid: Vec<&BitVector> = (0..side * side)
+            .map(|i| {
+                let x = (x0 + i % side) as isize - 1;
+                let y = (y0 + i / side) as isize - 1;
+                self.pixel_code(image, x, y).as_bits()
+            })
+            .collect();
+        let pixels: Vec<[&BitVector; 4]> = (0..c * c)
+            .map(|p| {
+                let at = (p / c + 1) * side + p % c + 1;
+                [grid[at + 1], grid[at - 1], grid[at + side], grid[at - side]]
+            })
+            .collect();
         let ctx = &self.ctx;
-        // `[h(V_t, G), h(V_t, Gx ⊗ Gy)]` per code, even codes first.
-        let mut tan_counts = vec![[0usize; 2]; self.sweep_codes.len()];
-        for py in 0..c {
-            for px in 0..c {
-                let x = (x0 + px) as isize;
-                let y = (y0 + py) as isize;
+        let stride = PIXEL_COUNTS + self.sweep_codes.len();
+        scratch.counts.resize(pixels.len() * stride, 0);
+        cell_sweep(
+            &mut scratch.lanes,
+            &pixels,
+            ctx.basis().as_bits(),
+            &self.sweep_codes,
+            &mut scratch.counts,
+        )
+        .map_err(StochasticError::from)?;
 
-                // Gradient: halved central differences, swept for
-                // their counts.
-                let g = ctx.gradient_sweep(
-                    [at(x + 1, y), at(x - 1, y)],
-                    [at(x, y + 1), at(x, y - 1)],
-                    &self.sweep_codes,
-                    mask_rng,
-                    &mut tan_counts,
-                )?;
+        let n_bounds = self.boundaries.tangents().len();
+        // A vector decodes non-negative when it is at most D/2 from V₁.
+        let non_negative = |h: usize| 2 * h <= self.config.dim;
+        for counts in scratch.counts.chunks_exact(stride) {
+            let (&[hx, hy, same, cross], alphas) = counts
+                .split_first_chunk::<PIXEL_COUNTS>()
+                .expect("a pixel's counts");
+            let (gx_pos, gy_pos) = (non_negative(hx), non_negative(hy));
 
-                // Magnitude: (|Gx| + |Gy|)/2, drawn from its law on the
-                // gradients' counts. Only its read-out is used, so it
-                // stays a distance from V₁.
-                let h = ctx.halved_abs_sum_distance_at(g.hx, g.hy, g.hxy, mask_rng);
-                let magnitude = ctx.value_at_distance(h);
+            // Magnitude: (|Gx| + |Gy|)/2, the selection `m ? |Gx| : |Gy|`.
+            // It is `m ? Gx : Gy` where the signs agree and
+            // `m ? Gx : ¬Gy` where they differ, negated if Gx is
+            // negative. Only its read-out is used, so it stays a
+            // distance from V₁.
+            let h = if gx_pos == gy_pos { same } else { cross };
+            let h = if gx_pos { h } else { self.config.dim - h };
+            let magnitude = ctx.value_at_distance(h);
 
-                // Angle bin: quadrant + tan comparisons.
-                let gx_pos = ctx.value_at_distance(g.hx) >= 0.0;
-                let gy_pos = ctx.value_at_distance(g.hy) >= 0.0;
-                let quadrant = crate::binning::quadrant_of(gx_pos, gy_pos);
-                let even = quadrant.is_multiple_of(2);
-                let first = if even { 0 } else { n_bounds };
-                let mut in_q = 0;
-                for (i, &counts) in tan_counts[first..first + n_bounds].iter().enumerate() {
-                    if self.tan_exceeds((g.hx, g.hy), gx_pos, even, i, counts, mask_rng) {
-                        in_q = i + 1;
+            // Angle bin: quadrant, then the chain of tan tests on the
+            // quadrant parity's codes, each decided by the sign of its α.
+            let quadrant = crate::binning::quadrant_of(gx_pos, gy_pos);
+            let (codes, alphas) = if quadrant.is_multiple_of(2) {
+                (&self.even_codes, &alphas[..n_bounds])
+            } else {
+                (&self.odd_codes, &alphas[n_bounds..])
+            };
+            let in_q = codes
+                .iter()
+                .zip(alphas)
+                .take_while(|&(code, &h)| {
+                    let alpha_pos = non_negative(h);
+                    if code.use_cot {
+                        // α = (Gy·(1/t) − Gx)/2 ;
+                        // sign(Gy − t·Gx) = sign(t)·sign(α).
+                        (alpha_pos == (code.t >= 0.0)) == gx_pos
                     } else {
-                        break;
+                        // α = (Gy − t·Gx)/2 ; Gy/Gx > t ⟺ sign(α) = sign(Gx).
+                        alpha_pos == gx_pos
                     }
-                }
-                let bin = self.boundaries.global_bin(quadrant, in_q);
+                })
+                .count();
+            let bin = self.boundaries.global_bin(quadrant, in_q);
 
-                // Popcount read-out: scalar summation.
-                sums[bin] += magnitude.max(0.0);
-            }
+            // Popcount read-out: scalar summation.
+            sums[bin] += magnitude.max(0.0);
         }
         Ok(())
     }
@@ -623,7 +629,7 @@ impl HyperHog {
             for cx in 0..cells_x {
                 let base = (cy * cells_x + cx) * bins;
                 let cell_sums = &mut sums[base..base + bins];
-                self.cell_pass(image, cx * c, cy * c, cell_sums, &mut scratch.mask_rng)?;
+                self.cell_pass(image, cx * c, cy * c, cell_sums, scratch)?;
             }
         }
         let values = sums.into_iter().map(|sum| self.slot_value(sum)).collect();
@@ -875,7 +881,7 @@ impl HyperHog {
         }
         let mut scratch = Self::scratch_for_cell(level_seed, cx, cy);
         let mut sums = vec![0.0; self.config.hog.bins];
-        self.cell_pass(image, cx * c, cy * c, &mut sums, &mut scratch.mask_rng)?;
+        self.cell_pass(image, cx * c, cy * c, &mut sums, &mut scratch)?;
         // Quantize each bin as the per-window path's bundle does, so
         // windows only bind and bundle.
         Ok(sums
@@ -1404,122 +1410,117 @@ mod tests {
     }
 
     /// The allocating cell pass and the two extraction paths built on
-    /// it, kept as the bit-for-bit reference for the swept pass:
-    /// every op returns a fresh vector, and the draw order is the one
-    /// the production pass must reproduce.
+    /// it, kept as the bit-for-bit reference for the swept pass: every
+    /// op returns a fresh vector, and the mask order is the one the
+    /// production pass must reproduce.
     ///
-    /// The pass takes the laws it draws from as a parameter.
-    /// [`Path::Laws`] makes the production draws; [`Path::Vectors`]
-    /// builds both absolute gradients, their halved sum and each tan
-    /// comparison's `α` as a hypervector — the vector path whose laws
-    /// the production draws sample — and anchors the distribution
-    /// tests.
+    /// [`Path::Vectors`] builds both gradients, both absolute values,
+    /// their halved sum and each tan comparison's `α` as hypervectors,
+    /// each ½ mask stepped from the scratch's lanes in the sweep's
+    /// order. It anchors the distribution tests as well.
     mod reference {
         use super::*;
 
-        /// Which draws the reference pass makes.
+        /// Which pipeline the reference pass runs.
         #[derive(Debug, Clone, Copy)]
         pub(super) enum Path {
-            /// The production draws: the magnitude's law and the `α`
-            /// sign law.
-            Laws,
             /// Every intermediate a hypervector.
             Vectors,
         }
 
-        /// A pixel's read-out magnitude `(|Gx| + |Gy|)/2`.
-        fn magnitude(hog: &HyperHog, path: Path, gx: &Shv, gy: &Shv, mask_rng: &mut HdcRng) -> f64 {
-            let ctx = &hog.ctx;
-            match path {
-                Path::Laws => {
-                    let basis = ctx.basis().as_bits();
-                    let hx = gx.as_bits().hamming(basis).unwrap();
-                    let hy = gy.as_bits().hamming(basis).unwrap();
-                    let hxy = gx.as_bits().hamming(gy.as_bits()).unwrap();
-                    ctx.value_at_distance(ctx.halved_abs_sum_distance_at(hx, hy, hxy, mask_rng))
-                }
-                Path::Vectors => {
-                    let (ax, ay) = (ctx.abs(gx).unwrap(), ctx.abs(gy).unwrap());
-                    let sum = ctx.add_halved_with(&ax, &ay, mask_rng).unwrap();
-                    ctx.decode(&sum).unwrap()
+        /// One pixel's `count` ½ masks, stepped group by group in the
+        /// sweep's order: every mask's group `g` before any mask's
+        /// group `g + 1`.
+        pub(super) fn pixel_masks(
+            lanes: &mut MaskLanes,
+            dim: usize,
+            count: usize,
+        ) -> Vec<BitVector> {
+            let groups = dim.div_ceil(64).div_ceil(8);
+            let mut words = vec![vec![0u64; groups * 8]; count];
+            for g in 0..groups {
+                for mask in &mut words {
+                    mask[g * 8..(g + 1) * 8].copy_from_slice(&lanes.next_group());
                 }
             }
+            words
+                .into_iter()
+                .map(|w| BitVector::from_words(dim, w))
+                .collect()
         }
 
-        #[allow(clippy::too_many_arguments)]
-        pub(super) fn tan_exceeds(
+        /// `m ? a : ¬b`, the halved difference under mask `m`.
+        pub(super) fn sub_halved(a: &Shv, b: &Shv, m: &BitVector) -> Shv {
+            Shv::from_bits(a.as_bits().select(b.negated().as_bits(), m).unwrap())
+        }
+
+        /// Boundary `index`'s `α` for the parity `code_even` under mask
+        /// `m`: `(Gy − t·Gx)/2` for a tan code, `(Gy·(1/t) − Gx)/2` for
+        /// a cot code.
+        pub(super) fn alpha(
             hog: &HyperHog,
-            path: Path,
             gx: &Shv,
             gy: &Shv,
-            gx_non_neg: bool,
             code_even: bool,
             index: usize,
-            mask_rng: &mut HdcRng,
-        ) -> bool {
+            m: &BitVector,
+        ) -> Shv {
             let code = if code_even {
                 &hog.even_codes[index]
             } else {
                 &hog.odd_codes[index]
             };
             let ctx = &hog.ctx;
-            let (a, b) = if code.use_cot {
-                (ctx.mul(&code.shv, gy).unwrap(), gx.clone())
-            } else {
-                (gy.clone(), ctx.mul(&code.shv, gx).unwrap())
-            };
-            let alpha_pos = match path {
-                Path::Laws => {
-                    let basis = ctx.basis().as_bits();
-                    let (ha, hb) = (a.as_bits().hamming(basis), b.as_bits().hamming(basis));
-                    let hab = a.as_bits().hamming(b.as_bits()).unwrap();
-                    ctx.sub_halved_is_non_negative_at(ha.unwrap(), hb.unwrap(), hab, mask_rng)
-                }
-                Path::Vectors => {
-                    let alpha = ctx
-                        .weighted_average_with(&a, &b.negated(), 0.5, mask_rng)
-                        .unwrap();
-                    ctx.is_non_negative(&alpha).unwrap()
-                }
-            };
             if code.use_cot {
-                (alpha_pos == (code.t >= 0.0)) == gx_non_neg
+                sub_halved(&ctx.mul(&code.shv, gy).unwrap(), gx, m)
             } else {
-                alpha_pos == gx_non_neg
+                sub_halved(gy, &ctx.mul(&code.shv, gx).unwrap(), m)
             }
         }
 
         fn cell_pass(
             hog: &HyperHog,
-            path: Path,
+            Path::Vectors: Path,
             image: &GrayImage,
             x0: usize,
             y0: usize,
             sums: &mut [f64],
-            mask_rng: &mut HdcRng,
+            lanes: &mut MaskLanes,
         ) {
             let ctx = &hog.ctx;
             let at = |x: isize, y: isize| hog.pixel_code(image, x, y);
             let c = hog.config.hog.cell_size;
+            let n_bounds = hog.boundaries.tangents().len();
             for py in 0..c {
                 for px in 0..c {
                     let x = (x0 + px) as isize;
                     let y = (y0 + py) as isize;
-                    let gx = ctx
-                        .sub_halved_with(at(x + 1, y), at(x - 1, y), mask_rng)
-                        .unwrap();
-                    let gy = ctx
-                        .sub_halved_with(at(x, y + 1), at(x, y - 1), mask_rng)
-                        .unwrap();
-                    let value = magnitude(hog, path, &gx, &gy, mask_rng);
+                    let masks = pixel_masks(lanes, hog.config.dim, 3 + n_bounds);
+                    let gx = sub_halved(at(x + 1, y), at(x - 1, y), &masks[0]);
+                    let gy = sub_halved(at(x, y + 1), at(x, y - 1), &masks[1]);
+                    let (ax, ay) = (ctx.abs(&gx).unwrap(), ctx.abs(&gy).unwrap());
+                    let sum = Shv::from_bits(ax.as_bits().select(ay.as_bits(), &masks[2]).unwrap());
+                    let value = ctx.decode(&sum).unwrap();
 
                     let gx_pos = ctx.is_non_negative(&gx).unwrap();
                     let gy_pos = ctx.is_non_negative(&gy).unwrap();
                     let quadrant = crate::binning::quadrant_of(gx_pos, gy_pos);
                     let even = quadrant.is_multiple_of(2);
                     let mut in_q = 0;
-                    for i in 0..hog.boundaries.tangents().len() {
-                        if tan_exceeds(hog, path, &gx, &gy, gx_pos, even, i, mask_rng) {
+                    for i in 0..n_bounds {
+                        let code = if even {
+                            &hog.even_codes[i]
+                        } else {
+                            &hog.odd_codes[i]
+                        };
+                        let alpha = alpha(hog, &gx, &gy, even, i, &masks[3 + i]);
+                        let alpha_pos = ctx.is_non_negative(&alpha).unwrap();
+                        let exceeds = if code.use_cot {
+                            (alpha_pos == (code.t >= 0.0)) == gx_pos
+                        } else {
+                            alpha_pos == gx_pos
+                        };
+                        if exceeds {
                             in_q = i + 1;
                         } else {
                             break;
@@ -1546,12 +1547,12 @@ mod tests {
                     let base = (cy * cells_x + cx) * bins;
                     cell_pass(
                         hog,
-                        Path::Laws,
+                        Path::Vectors,
                         image,
                         cx * c,
                         cy * c,
                         &mut sums[base..base + bins],
-                        &mut scratch.mask_rng,
+                        &mut scratch.lanes,
                     );
                 }
             }
@@ -1579,7 +1580,7 @@ mod tests {
                 cx * c,
                 cy * c,
                 &mut sums,
-                &mut scratch.mask_rng,
+                &mut scratch.lanes,
             );
             let area = (c * c) as f64;
             sums.into_iter()
@@ -1659,78 +1660,60 @@ mod tests {
     fn tan_comparisons_follow_the_vector_alpha_law() {
         // 16 bins put interior boundaries at 22.5°, 45° and 67.5°, so
         // both parities compare against tangents (|t| ≤ 1) and
-        // cotangents (|t| > 1).
+        // cotangents (|t| > 1). Each pixel's neighbours are codebook
+        // levels giving gradients of every sign, large and near zero.
+        let levels: [[usize; 4]; 6] = [
+            [200, 120, 150, 140],
+            [90, 160, 210, 40],
+            [128, 131, 126, 129],
+            [128, 128, 128, 128],
+            [160, 120, 250, 10],
+            [30, 220, 60, 190],
+        ];
         for dim in [512usize, 4096] {
             let mut config = small_config(dim);
             config.hog.bins = 16;
             let hog = HyperHog::new(config, 34);
-            let ctx = &hog.ctx;
-            let mut enc = HdcRng::seed_from_u64(35);
-            for (vx, vy) in [
-                (0.3, 0.1),
-                (-0.2, 0.25),
-                (0.01, -0.02),
-                (0.0, 0.0),
-                (0.15, 0.6),
-            ] {
-                let gx = ctx.encode_with(vx, &mut enc).unwrap();
-                let gy = ctx.encode_with(vy, &mut enc).unwrap();
-                let gxy = ctx.mul(&gx, &gy).unwrap();
-                let basis = ctx.basis().as_bits();
-                let hx = gx.as_bits().hamming(basis).unwrap();
-                let hy = gy.as_bits().hamming(basis).unwrap();
-                let gx_pos = ctx.value_at_distance(hx) >= 0.0;
-                let (mut cot, mut tan) = (0, 0);
-                for even in [true, false] {
+            let n_bounds = hog.boundaries.tangents().len();
+            let code_at = |level: usize| hog.pixel_codes[level].as_bits();
+            let pixels: Vec<[&BitVector; 4]> = levels.iter().map(|l| l.map(code_at)).collect();
+            let mut lanes = hog.scratch_for_stream(35).lanes;
+            let mut want_lanes = lanes.clone();
+            let stride = PIXEL_COUNTS + hog.sweep_codes.len();
+            let mut counts = vec![0; pixels.len() * stride];
+            let basis = hog.ctx.basis().as_bits();
+            cell_sweep(&mut lanes, &pixels, basis, &hog.sweep_codes, &mut counts).unwrap();
+            let (mut cot, mut tan) = (0, 0);
+            for (pixel, got) in pixels.iter().zip(counts.chunks_exact(stride)) {
+                let masks = reference::pixel_masks(&mut want_lanes, dim, 3 + n_bounds);
+                let [right, left, down, up] = pixel.map(|v| Shv::from_bits(v.clone()));
+                let gx = reference::sub_halved(&right, &left, &masks[0]);
+                let gy = reference::sub_halved(&down, &up, &masks[1]);
+                for (k, &h) in got[PIXEL_COUNTS..].iter().enumerate() {
+                    let (even, i) = (k < n_bounds, k % n_bounds);
+                    let alpha = reference::alpha(&hog, &gx, &gy, even, i, &masks[3 + i]);
+                    assert_eq!(
+                        h,
+                        alpha.as_bits().hamming(basis).unwrap(),
+                        "D={dim} levels {pixel:?} code {k}"
+                    );
                     let codes = if even {
                         &hog.even_codes
                     } else {
                         &hog.odd_codes
                     };
-                    for (i, code) in codes.iter().enumerate() {
-                        if code.use_cot {
-                            cot += 1;
-                        } else {
-                            tan += 1;
-                        }
-                        // The code's two sweep counts, `h(V_t, G)` and
-                        // `h(V_t, Gx ⊗ Gy)`.
-                        let code_bits = code.shv.as_bits();
-                        let g = if code.use_cot { &gy } else { &gx };
-                        let counts = [
-                            code_bits.hamming(g.as_bits()).unwrap(),
-                            code_bits.hamming(gxy.as_bits()).unwrap(),
-                        ];
-                        let draws = 20_000;
-                        let mut rng = HdcRng::seed_from_u64(36);
-                        let got = (0..draws)
-                            .filter(|_| {
-                                hog.tan_exceeds((hx, hy), gx_pos, even, i, counts, &mut rng)
-                            })
-                            .count() as f64
-                            / draws as f64;
-                        let want = (0..draws)
-                            .filter(|_| {
-                                let path = reference::Path::Vectors;
-                                reference::tan_exceeds(
-                                    &hog, path, &gx, &gy, gx_pos, even, i, &mut rng,
-                                )
-                            })
-                            .count() as f64
-                            / draws as f64;
-                        let se = ((got * (1.0 - got) + want * (1.0 - want)) / draws as f64).sqrt();
-                        assert!(
-                            (got - want).abs() <= 3.0 * se,
-                            "D={dim} G=({vx}, {vy}) t={}: rate {got} vs {want}",
-                            code.t
-                        );
+                    if codes[i].use_cot {
+                        cot += 1;
+                    } else {
+                        tan += 1;
                     }
                 }
-                assert!(
-                    cot > 0 && tan > 0,
-                    "{cot} cotangent and {tan} tangent codes"
-                );
             }
+            assert_eq!(lanes, want_lanes, "D={dim}");
+            assert!(
+                cot > 0 && tan > 0,
+                "{cot} cotangent and {tan} tangent codes"
+            );
         }
     }
 
@@ -1749,7 +1732,8 @@ mod tests {
             for cy in 0..cells_y {
                 for cx in 0..cells_x {
                     let got = hog.compute_level_cell(&img, cx, cy, 5).unwrap();
-                    let want = reference::level_cell(&hog, reference::Path::Laws, &img, cx, cy, 5);
+                    let want =
+                        reference::level_cell(&hog, reference::Path::Vectors, &img, cx, cy, 5);
                     assert_eq!(got.len(), want.len());
                     for (g, w) in got.iter().zip(&want) {
                         assert_eq!(g.bits(), w.bits(), "D={dim} cell ({cx},{cy})");

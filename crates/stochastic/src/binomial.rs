@@ -1,8 +1,9 @@
 //! An exact binomial sampler over the caller's mask stream.
 //!
-//! A [`Binomial`] is one law with the constants its draws read; a law
-//! drawn many times is built once (`StochasticContext` keeps the fair
-//! laws the cell pass draws), and [`binomial`] builds one per draw.
+//! A [`Binomial`] is one law with the constants its draws read;
+//! [`binomial`] builds one per draw. Only the public count root and
+//! the square's decode law draw from it: the HD-HOG cell pass counts
+//! its vectors and samples no law.
 //!
 //! The decode of a vector that is built only to be decoded is a sum
 //! of binomial counts (see `DESIGN.md` §17), so drawing those counts
@@ -38,11 +39,10 @@ const LN_FACTORIAL_TABLE: usize = 1 << 14;
 
 /// The law `Bin(n, p)`: the number of successes in `n` independent
 /// trials of probability `p ∈ [0, 1]`, with every constant a draw
-/// reads computed once, by [`Binomial::new`]. A law that is drawn many
-/// times (a fair law, see `StochasticContext`) pays its set-up once;
-/// [`binomial`] builds one per draw. Either way a draw reads the
-/// same `f64`s, evaluated in the same order, so it consumes the same
-/// words of the caller's stream and returns the same count.
+/// reads computed once, by [`Binomial::new`]. [`binomial`] builds one
+/// per draw; a law kept and drawn again reads the same `f64`s,
+/// evaluated in the same order, so it consumes the same words of the
+/// caller's stream and returns the same count.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Binomial {
     n: usize,
@@ -586,7 +586,7 @@ mod tests {
     fn moments_match_across_branches() {
         // (n, p): inversion, inversion reflected, BTRD near and far
         // from the mode, BTRD reflected, and the D-sized counts of the
-        // cell pass.
+        // count root.
         let cases = [
             (40usize, 0.1),
             (40, 0.93),
@@ -732,9 +732,8 @@ mod tests {
             (256, 0.5, ("btrd", false)),
             (2000, 0.65, ("btrd", true)),
             (4096, 0.77, ("btrd", true)),
-            // The D-sized counts of the cell pass: the root's first
-            // midpoint, its ⅓ law, probe pairs and fair counts, and the
-            // sign law's fair count.
+            // The D-sized counts of the count root: its first
+            // midpoint, its ⅓ law, probe pairs and fair counts.
             (4096, 0.25, ("btrd", false)),
             (2596, 1.0 / 3.0, ("btrd", false)),
             (4096 - 1500, rho_4096, ("btrd", true)),

@@ -1,16 +1,11 @@
 //! The stochastic arithmetic context: basis vector, encoding, and the
 //! elementary operations of HDFace §4.2.
 
-use std::borrow::Cow;
 use std::fmt;
-use std::sync::OnceLock;
 
-use hdface_hdc::{
-    gradient_sweep, BitVector, DimensionMismatchError, GradientCounts, HdcRng, SeedableRng,
-    SweepCodes,
-};
+use hdface_hdc::{BitVector, HdcRng, SeedableRng};
 
-use crate::binomial::{binomial, Binomial};
+use crate::binomial::binomial;
 use crate::error::StochasticError;
 
 /// A **s**tochastic **h**yper**v**ector: a bipolar hypervector that
@@ -136,21 +131,6 @@ fn encode_density(v: f64) -> f64 {
     BitVector::realized_density((1.0 + v) / 2.0)
 }
 
-/// Contexts below this dimensionality tabulate their [`CountLaws`]: the
-/// `ln k!` table's range, which holds the paper's dimensionalities. The
-/// table takes 112 bytes per dimension (0.46 MB at `D = 4096`); past
-/// the bound every law is built per draw instead, so a model header's
-/// `u32` D cannot make a scan allocate gigabytes.
-const TABULATED_DIMS: usize = 1 << 14;
-
-/// The fair laws the cell pass draws — the magnitude's and the sign
-/// law's — indexed by their trial count, so a draw skips the set-up of
-/// its law (`StochasticContext::count_laws`).
-struct CountLaws {
-    /// `Bin(n, ½)` for each `n ≤ D`.
-    fair: Box<[Binomial]>,
-}
-
 /// Outcome of a statistical comparison between two stochastic values.
 ///
 /// Decoded values carry sampling noise of magnitude `≈ 1/√D`, so a
@@ -168,8 +148,7 @@ pub enum Comparison {
 }
 
 /// The arithmetic context of §4: dimensionality `D`, the random basis
-/// `V₁`, the RNG that draws selection masks, and, built on first use,
-/// the fair binomial laws of the magnitude and the sign law.
+/// `V₁` and the RNG that draws selection masks.
 ///
 /// All values produced by one context share its basis; mixing vectors
 /// from different contexts is not detected (they are just bits) and
@@ -190,8 +169,6 @@ pub struct StochasticContext {
     /// `basis` negated (`V₋₁`), kept so encoding never re-derives it.
     neg_basis: Shv,
     rng: HdcRng,
-    /// Built on first use; see [`CountLaws`].
-    count_laws: OnceLock<CountLaws>,
 }
 
 impl StochasticContext {
@@ -232,7 +209,6 @@ impl StochasticContext {
             neg_basis: basis.negated(),
             basis,
             rng,
-            count_laws: OnceLock::new(),
         })
     }
 
@@ -486,55 +462,6 @@ impl StochasticContext {
         Ok(out.0.xor_assign(mask)?)
     }
 
-    /// The counts a pixel reads off its gradients
-    /// `Gx = sub_halved(x[0], x[1])` and `Gy = sub_halved(y[0], y[1])`,
-    /// in one sweep over the D bits ([`hdface_hdc::gradient_sweep`])
-    /// that never builds either: `h(Gx, V₁)`, `h(Gy, V₁)` and
-    /// `h(Gx, Gy)`, returned, and per boundary code
-    /// `[h(code, G), h(code, Gx ⊗ Gy)]` in `code_counts`.
-    ///
-    /// The two ½ masks are drawn from `rng` exactly as two
-    /// [`sub_halved_into`](Self::sub_halved_into) calls draw them, `Gx`'s
-    /// first, so the counts and the state `rng` is left in are those of
-    /// building both gradients with it and counting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StochasticError::DimensionMismatch`] if an operand or
-    /// the codes do not match the context; `rng` is then untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `code_counts.len() != codes.len()`.
-    pub fn gradient_sweep(
-        &self,
-        x: [&Shv; 2],
-        y: [&Shv; 2],
-        codes: &SweepCodes,
-        rng: &mut HdcRng,
-        code_counts: &mut [[usize; 2]],
-    ) -> Result<GradientCounts, StochasticError> {
-        let dims = [x[0], x[1], y[0], y[1]].map(Shv::dim);
-        if let Some(&right) = dims.iter().chain([&codes.dim()]).find(|&&d| d != self.dim) {
-            return Err(DimensionMismatchError {
-                left: self.dim,
-                right,
-            }
-            .into());
-        }
-        // One word per ½ mask, as `fill_with_density(0.5)` draws it.
-        let seeds = [rng.next_u64(), rng.next_u64()];
-        let (x, y) = (x.map(Shv::as_bits), y.map(Shv::as_bits));
-        Ok(gradient_sweep(
-            seeds,
-            x,
-            y,
-            &self.basis.0,
-            codes,
-            code_counts,
-        )?)
-    }
-
     /// **Multiplication** (⊗): `V_ab[i] = V₁[i]` where the operands
     /// agree and `−V₁[i]` where they differ, i.e. bitwise
     /// `V_a XOR V_b XOR V₁`. Decodes to `a·b`.
@@ -652,86 +579,6 @@ impl StochasticContext {
         let p = self.instance_density(h);
         let agree = binomial(self.dim - h, p, rng) + binomial(h, 1.0 - p, rng);
         self.value_at_distance(self.dim - agree)
-    }
-
-    /// `Bin(n, ½)` for `n ≤ D`.
-    pub(crate) fn fair_law(&self, n: usize) -> Cow<'_, Binomial> {
-        match self.count_laws() {
-            Some(laws) => Cow::Borrowed(&laws.fair[n]),
-            None => Cow::Owned(Binomial::new(n, 0.5)),
-        }
-    }
-
-    /// The context's [`CountLaws`], built on first use, or `None` past
-    /// [`TABULATED_DIMS`]. Each entry is the law a draw would build for
-    /// itself, so a tabulated draw is bit for bit the per-draw one.
-    fn count_laws(&self) -> Option<&CountLaws> {
-        (self.dim < TABULATED_DIMS).then(|| {
-            self.count_laws.get_or_init(|| CountLaws {
-                fair: (0..=self.dim).map(|n| Binomial::new(n, 0.5)).collect(),
-            })
-        })
-    }
-
-    /// A draw of the Hamming distance from `V₁` of
-    /// `add_halved(abs(a), abs(b))`, the L1 magnitude `(|a| + |b|)/2`,
-    /// from its exact law, given `ha = h(a, V₁)`, `hb = h(b, V₁)` and
-    /// `hab = h(a, b)`.
-    ///
-    /// [`abs`](Self::abs) negates an operand that decodes negative,
-    /// which turns its distance `h` into `D − h`: so `|a|` sits at
-    /// `dx = ha` if `a` decodes non-negative and `D − ha` otherwise,
-    /// `|b|` at `dy` likewise, and the two are `dxy = hab` apart if
-    /// their signs agree and `D − hab` if exactly one was negated. Both
-    /// agree with `V₁` at `D − (dx + dy + dxy)/2` positions, where the
-    /// ½ selection keeps `V₁`'s bit; at the `dxy` positions where they
-    /// differ exactly one agrees, and the selection takes it with
-    /// probability ½. So the halved sum agrees with `V₁` at
-    /// `D − (dx + dy + dxy)/2 + Bin(dxy, ½)` positions.
-    ///
-    /// The counts must be those of two vectors of the context's
-    /// dimensionality; any other triple is meaningless (and may panic).
-    #[must_use]
-    pub fn halved_abs_sum_distance_at(
-        &self,
-        ha: usize,
-        hb: usize,
-        hab: usize,
-        rng: &mut HdcRng,
-    ) -> usize {
-        let non_negative = |h: usize| self.value_at_distance(h) >= 0.0;
-        let (a_pos, b_pos) = (non_negative(ha), non_negative(hb));
-        let dx = if a_pos { ha } else { self.dim - ha };
-        let dy = if b_pos { hb } else { self.dim - hb };
-        let dxy = if a_pos == b_pos { hab } else { self.dim - hab };
-        (dx + dy + dxy) / 2 - self.fair_law(dxy).draw(rng)
-    }
-
-    /// A draw of `is_non_negative(sub_halved(a, b))`, the sign of the
-    /// halved difference, from its exact law, given `ha = h(a, V₁)`,
-    /// `hb = h(b, V₁)` and `hab = h(a, b)`.
-    ///
-    /// [`sub_halved`](Self::sub_halved) takes `a`'s bit under a ½ mask
-    /// and `¬b`'s elsewhere. Where `a` agrees with `V₁` and `b` does
-    /// not (`n₁₀ = (hab + hb − ha)/2` positions) either bit agrees;
-    /// where `a` disagrees and `b` agrees, neither does; where `a` and
-    /// `b` are equal (`D − hab` positions), exactly one of the two
-    /// agrees. So the difference agrees with `V₁` at
-    /// `n₁₀ + Bin(D − hab, ½)` positions, and it decodes non-negative
-    /// exactly when that is at least `D/2`.
-    ///
-    /// The counts must be those of two vectors of the context's
-    /// dimensionality; any other triple is meaningless (and may panic).
-    #[must_use]
-    pub fn sub_halved_is_non_negative_at(
-        &self,
-        ha: usize,
-        hb: usize,
-        hab: usize,
-        rng: &mut HdcRng,
-    ) -> bool {
-        let agree_for_sure = (hab + hb - ha) / 2;
-        2 * (agree_for_sure + self.fair_law(self.dim - hab).draw(rng)) >= self.dim
     }
 
     /// The decode of a vector at Hamming distance `h` from `V₁`,
@@ -1070,70 +917,6 @@ mod tests {
     }
 
     #[test]
-    fn halved_abs_sum_distance_follows_the_vector_law() {
-        for dim in LAW_DIMS {
-            let mut ctx = StochasticContext::new(dim, 42);
-            let basis = ctx.basis().as_bits().clone();
-            for (va, vb) in [
-                (0.5, 0.3),
-                (-0.4, -0.45),
-                (-0.5, 0.3),
-                (0.45, -0.55),
-                (0.01, -0.02),
-            ] {
-                let (a, b) = (ctx.encode(va).unwrap(), ctx.encode(vb).unwrap());
-                let ha = a.as_bits().hamming(&basis).unwrap();
-                let hb = b.as_bits().hamming(&basis).unwrap();
-                let hab = a.as_bits().hamming(b.as_bits()).unwrap();
-                let mut rng = HdcRng::seed_from_u64(43);
-                let got: Vec<f64> = (0..LAW_DRAWS)
-                    .map(|_| ctx.halved_abs_sum_distance_at(ha, hb, hab, &mut rng) as f64)
-                    .collect();
-                let (abs_a, abs_b) = (ctx.abs(&a).unwrap(), ctx.abs(&b).unwrap());
-                let want: Vec<f64> = (0..LAW_DRAWS)
-                    .map(|_| {
-                        let sum = ctx.add_halved_with(&abs_a, &abs_b, &mut rng).unwrap();
-                        sum.as_bits().hamming(&basis).unwrap() as f64
-                    })
-                    .collect();
-                assert_same_law(&format!("D={dim} (|{va}| + |{vb}|)/2"), &got, &want);
-            }
-        }
-    }
-
-    #[test]
-    fn sub_halved_sign_follows_the_vector_law() {
-        for dim in [512, 4096] {
-            let mut ctx = StochasticContext::new(dim, 49);
-            let basis = ctx.basis().as_bits().clone();
-            for (va, vb) in [(0.01, 0.0), (0.3, 0.28), (-0.2, 0.25), (0.0, -0.01)] {
-                let (a, b) = (ctx.encode(va).unwrap(), ctx.encode(vb).unwrap());
-                let ha = a.as_bits().hamming(&basis).unwrap();
-                let hb = b.as_bits().hamming(&basis).unwrap();
-                let hab = a.as_bits().hamming(b.as_bits()).unwrap();
-                let mut rng = HdcRng::seed_from_u64(50);
-                let draws = 40_000;
-                let got = (0..draws)
-                    .filter(|_| ctx.sub_halved_is_non_negative_at(ha, hb, hab, &mut rng))
-                    .count() as f64
-                    / draws as f64;
-                let want = (0..draws)
-                    .filter(|_| {
-                        let alpha = ctx.sub_halved_with(&a, &b, &mut rng).unwrap();
-                        ctx.is_non_negative(&alpha).unwrap()
-                    })
-                    .count() as f64
-                    / draws as f64;
-                let se = ((got * (1.0 - got) + want * (1.0 - want)) / draws as f64).sqrt();
-                assert!(
-                    (got - want).abs() <= 3.0 * se,
-                    "D={dim} ({va} − {vb})/2: sign rate {got} vs {want}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn decode_laws_reach_the_exact_ends() {
         // ±1 squares to exactly 1: the instance is V₁ or V₋₁ and the
         // draws are degenerate.
@@ -1143,31 +926,8 @@ mod tests {
         assert_eq!(ctx.decode_square_at(1000, &mut rng), 1.0);
     }
 
-    #[test]
-    fn halved_abs_sum_reaches_the_exact_ends() {
-        // |±1| is V₁ itself, so every pair of ends sums to V₁ exactly:
-        // the operands' absolute values never differ and nothing is
-        // drawn.
-        let ctx = StochasticContext::new(1000, 46);
-        let (one, neg) = (ctx.basis().clone(), ctx.neg_basis().clone());
-        let mut rng = HdcRng::seed_from_u64(47);
-        for (a, b) in [(&one, &neg), (&neg, &one), (&one, &one), (&neg, &neg)] {
-            let ha = a.as_bits().hamming(one.as_bits()).unwrap();
-            let hb = b.as_bits().hamming(one.as_bits()).unwrap();
-            let hab = a.as_bits().hamming(b.as_bits()).unwrap();
-            let mut untouched = rng.clone();
-            assert_eq!(ctx.halved_abs_sum_distance_at(ha, hb, hab, &mut rng), 0);
-            assert_eq!(rng.clone().next_u64(), untouched.next_u64(), "drew");
-            let vector = ctx
-                .add_halved_with(&ctx.abs(a).unwrap(), &ctx.abs(b).unwrap(), &mut rng)
-                .unwrap();
-            assert_eq!(&vector, ctx.basis());
-        }
-    }
-
-    /// The count root and the sign law as they drew before their laws
-    /// were tabulated: every draw builds its law through the reference
-    /// sampler.
+    /// The count root as it drew before its laws were tabulated: every
+    /// draw builds its law through the reference sampler.
     mod per_draw {
         use crate::binomial::reference::binomial;
         use crate::StochasticContext;
@@ -1206,24 +966,12 @@ mod tests {
             }
             dis + diff - binomial(diff, 0.5, rng)
         }
-
-        pub fn sub_halved_is_non_negative_at(
-            ctx: &StochasticContext,
-            ha: usize,
-            hb: usize,
-            hab: usize,
-            rng: &mut HdcRng,
-        ) -> bool {
-            let agree_for_sure = (hab + hb - ha) / 2;
-            2 * (agree_for_sure + binomial(ctx.dim - hab, 0.5, rng)) >= ctx.dim
-        }
     }
 
     #[test]
     fn tabulated_laws_draw_what_the_per_draw_chain_draws() {
-        for dim in [512, 4096, 8193, TABULATED_DIMS] {
+        for dim in [512, 4096, 8193, 1 << 14] {
             let ctx = StochasticContext::new(dim, 70);
-            assert_eq!(ctx.count_laws().is_some(), dim < TABULATED_DIMS, "D={dim}");
             let mut rng = HdcRng::seed_from_u64(71);
             let mut chain = HdcRng::seed_from_u64(71);
             for h in (0..=dim).step_by(7).chain([dim]) {
@@ -1238,29 +986,6 @@ mod tests {
                             ctx.sqrt_distance_with(target, iters, &mut rng),
                             per_draw::sqrt_distance(&ctx, target, iters, &mut chain),
                             "D={dim} √{target} in {iters} steps, draw {draw}"
-                        );
-                    }
-                }
-            }
-            let mut vectors = HdcRng::seed_from_u64(72);
-            for (va, vb) in [
-                (0.01, 0.0),
-                (0.3, 0.28),
-                (-0.2, 0.25),
-                (0.9, -0.9),
-                (1.0, -1.0),
-            ] {
-                let a = ctx.encode_with(va, &mut vectors).unwrap();
-                let b = ctx.encode_with(vb, &mut vectors).unwrap();
-                let ha = a.as_bits().hamming(ctx.basis().as_bits()).unwrap();
-                let hb = b.as_bits().hamming(ctx.basis().as_bits()).unwrap();
-                let hab = a.as_bits().hamming(b.as_bits()).unwrap();
-                for (ha, hb) in [(ha, hb), (hb, ha)] {
-                    for draw in 0..300 {
-                        assert_eq!(
-                            ctx.sub_halved_is_non_negative_at(ha, hb, hab, &mut rng),
-                            per_draw::sub_halved_is_non_negative_at(&ctx, ha, hb, hab, &mut chain),
-                            "D={dim} ({va} − {vb})/2, draw {draw}"
                         );
                     }
                 }

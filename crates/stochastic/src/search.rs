@@ -152,7 +152,7 @@ impl StochasticContext {
             (h, 0)
         };
         for _ in 1..iters {
-            let k = self.fair_law(diff).draw(rng);
+            let k = binomial(diff, 0.5, rng);
             h = dis + diff - k;
             // Direction from the raw decoded comparison: an early
             // "approximately equal" exit is tempting but fragile near
@@ -164,7 +164,7 @@ impl StochasticContext {
                 diff -= k;
             }
         }
-        dis + diff - self.fair_law(diff).draw(rng)
+        dis + diff - binomial(diff, 0.5, rng)
     }
 
     /// **Division** `V_a, V_b ↦ V_{a/b}` via binary search on the

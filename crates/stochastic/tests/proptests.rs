@@ -5,7 +5,7 @@
 //! sigmas keeps the false-failure probability negligible across the
 //! proptest case count.
 
-use hdface_hdc::{BitVector, HdcRng, SeedableRng, SweepCodes};
+use hdface_hdc::{cell_sweep, BitVector, HdcRng, MaskLanes, SeedableRng, SweepCodes, PIXEL_COUNTS};
 use hdface_stochastic::{expected_sigma, Shv, StochasticContext};
 use proptest::prelude::*;
 
@@ -135,58 +135,80 @@ proptest! {
     }
 }
 
+/// One pixel's `count` ½ masks, stepped group by group in the cell
+/// sweep's order: every mask's group `g` before any mask's group
+/// `g + 1`.
+fn pixel_masks(lanes: &mut MaskLanes, dim: usize, count: usize) -> Vec<BitVector> {
+    let groups = dim.div_ceil(64).div_ceil(8);
+    let mut words = vec![vec![0u64; groups * 8]; count];
+    for g in 0..groups {
+        for mask in &mut words {
+            mask[g * 8..(g + 1) * 8].copy_from_slice(&lanes.next_group());
+        }
+    }
+    words
+        .into_iter()
+        .map(|w| BitVector::from_words(dim, w))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `gradient_sweep` counts what building both gradients with
-    /// `sub_halved_into` and counting them gives, and leaves the mask
-    /// stream where those two calls leave it — on ragged dimensions,
-    /// with 0–4 boundary codes against either gradient.
+    /// `cell_sweep` counts what the context's vector ops build under the
+    /// same masks — `Gx` and `Gy` as halved differences, the halved sum
+    /// of their `abs` values, each `α` through `mul` — and leaves the
+    /// lanes where stepping those masks leaves them: on ragged
+    /// dimensions, with 0–4 codes of either kind, two to a mask.
     #[test]
-    fn gradient_sweep_counts_and_draws_like_two_sub_halved_calls(
+    fn cell_sweep_counts_what_the_context_ops_build(
         dim in 1usize..=1100,
+        n_pixels in 0usize..=6,
         n_codes in 0usize..=4,
         seed in any::<u64>(),
         stream in any::<u64>(),
     ) {
         let ctx = StochasticContext::new(dim, seed);
         let mut data = HdcRng::seed_from_u64(seed ^ 1);
-        let ops: Vec<Shv> = (0..4).map(|_| Shv::from_bits(BitVector::random(dim, &mut data))).collect();
-        let codes: Vec<(BitVector, bool)> = (0..n_codes)
-            .map(|_| (BitVector::random(dim, &mut data), data.random_bool(0.5)))
-            .collect();
-        let layout: Vec<(&BitVector, bool)> = codes.iter().map(|(c, gy)| (c, *gy)).collect();
+        let mut random = || Shv::from_bits(BitVector::random(dim, &mut data));
+        let pixels: Vec<[Shv; 4]> = (0..n_pixels).map(|_| std::array::from_fn(|_| random())).collect();
+        let codes: Vec<(Shv, bool)> = (0..n_codes).map(|k| (random(), k % 3 == 1)).collect();
+        let layout: Vec<(&BitVector, bool, usize)> =
+            codes.iter().enumerate().map(|(k, (c, cot))| (c.as_bits(), *cot, k / 2)).collect();
         let sweep_codes = SweepCodes::new(dim, &layout).unwrap();
+        let refs: Vec<[&BitVector; 4]> = pixels.iter().map(|p| p.each_ref().map(Shv::as_bits)).collect();
+        let stride = PIXEL_COUNTS + n_codes;
 
-        let mut rng = HdcRng::seed_from_u64(stream);
-        let mut code_counts = vec![[0; 2]; n_codes];
-        let got = ctx
-            .gradient_sweep([&ops[0], &ops[1]], [&ops[2], &ops[3]], &sweep_codes, &mut rng, &mut code_counts)
-            .unwrap();
+        let mut lanes = MaskLanes::from_rng(&mut HdcRng::seed_from_u64(stream));
+        let mut want_lanes = lanes.clone();
+        let mut counts = vec![0; n_pixels * stride];
+        cell_sweep(&mut lanes, &refs, ctx.basis().as_bits(), &sweep_codes, &mut counts).unwrap();
 
-        let mut want_rng = HdcRng::seed_from_u64(stream);
-        let (mut mask, mut gx, mut gy) = (BitVector::zeros(dim), Shv::zeros(dim), Shv::zeros(dim));
-        ctx.sub_halved_into(&ops[0], &ops[1], &mut want_rng, &mut mask, &mut gx).unwrap();
-        ctx.sub_halved_into(&ops[2], &ops[3], &mut want_rng, &mut mask, &mut gy).unwrap();
-        let gxy = ctx.mul(&gx, &gy).unwrap();
-        let basis = ctx.basis().as_bits();
-        let (gx, gy) = (gx.as_bits(), gy.as_bits());
-        prop_assert_eq!(got.hx, gx.hamming(basis).unwrap());
-        prop_assert_eq!(got.hy, gy.hamming(basis).unwrap());
-        prop_assert_eq!(got.hxy, gx.hamming(gy).unwrap());
-        for ((code, against_gy), counts) in codes.iter().zip(&code_counts) {
-            let g = if *against_gy { gy } else { gx };
-            prop_assert_eq!(counts[0], code.hamming(g).unwrap());
-            prop_assert_eq!(counts[1], code.hamming(gxy.as_bits()).unwrap());
+        let h = |v: &Shv| v.as_bits().hamming(ctx.basis().as_bits()).unwrap();
+        let half = |a: &Shv, b: &Shv, m: &BitVector| {
+            Shv::from_bits(a.as_bits().select(b.negated().as_bits(), m).unwrap())
+        };
+        for ([right, left, down, up], got) in pixels.iter().zip(counts.chunks_exact(stride)) {
+            let masks = pixel_masks(&mut want_lanes, dim, 3 + sweep_codes.masks());
+            let gx = half(right, left, &masks[0]);
+            let gy = half(down, up, &masks[1]);
+            prop_assert_eq!(got[0], h(&gx));
+            prop_assert_eq!(got[1], h(&gy));
+            let (ax, ay) = (ctx.abs(&gx).unwrap(), ctx.abs(&gy).unwrap());
+            let sum = Shv::from_bits(ax.as_bits().select(ay.as_bits(), &masks[2]).unwrap());
+            let (gx_pos, gy_pos) = (ctx.is_non_negative(&gx).unwrap(), ctx.is_non_negative(&gy).unwrap());
+            let picked = if gx_pos == gy_pos { got[2] } else { got[3] };
+            prop_assert_eq!(if gx_pos { picked } else { dim - picked }, h(&sum));
+            for (k, (code, cot)) in codes.iter().enumerate() {
+                let m = &masks[3 + k / 2];
+                let alpha = if *cot {
+                    half(&ctx.mul(code, &gy).unwrap(), &gx, m)
+                } else {
+                    half(&gy, &ctx.mul(code, &gx).unwrap(), m)
+                };
+                prop_assert_eq!(got[PIXEL_COUNTS + k], h(&alpha));
+            }
         }
-        prop_assert_eq!(rng.next_u64(), want_rng.next_u64());
-
-        // A mis-sized operand is refused before anything is drawn.
-        let short = Shv::zeros(dim + 1);
-        let mut untouched = HdcRng::seed_from_u64(stream);
-        prop_assert!(ctx
-            .gradient_sweep([&short, &ops[1]], [&ops[2], &ops[3]], &sweep_codes, &mut untouched, &mut code_counts)
-            .is_err());
-        prop_assert_eq!(untouched.next_u64(), HdcRng::seed_from_u64(stream).next_u64());
+        prop_assert_eq!(lanes, want_lanes);
     }
 }
